@@ -1,4 +1,4 @@
-"""Recursive-descent parser for textual ResCCLang (Figure 14 BNF).
+"""Single-pass recursive-descent parser for textual ResCCLang (Figure 14 BNF).
 
 The surface syntax is Python-like and indentation-structured, exactly as
 the paper's Figure 16 example program:
@@ -14,15 +14,23 @@ The grammar terminals: identifiers, integer literals, quoted strings (for
 parentheses, and the keywords ``def``, ``for``, ``in``, ``range``,
 ``transfer``.  ``commType`` may be written bare (``recv`` / ``rrc``, as in
 Figure 16) or quoted (as in the BNF).
+
+Cost contract: parsing is one pass over the source, O(bytes), with no
+backtracking.  Each logical line is checked for bad characters by one
+regex match and lexed by one ``findall`` into a list of plain strings
+(no token records).  The LL(1) parser walks that list by index with one
+token of look-ahead, and logical lines stream into the block parser one
+at a time, so only the current line's tokens are alive.  Every syntax
+error is a :class:`ResCCLangSyntaxError` carrying the (starting) line
+number of the offending logical line.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..ir.task import parse_collective, parse_comm_type
+from ..ir.task import Collective, CommType
 from .ast import (
     Assign,
     BinOp,
@@ -32,187 +40,28 @@ from .ast import (
     Module,
     Name,
     Num,
+    ResCCLangError,
     ResCCLangSyntaxError,
     Stmt,
     TransferStmt,
 )
 from .builder import AlgoProgram, evaluate_module
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<string>"[^"\n]*")
-  | (?P<number>\d+)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>[+\-*/%(),:=])
-  | (?P<space>[ \t]+)
-  | (?P<bad>.)
-    """,
-    re.VERBOSE,
-)
+_TOKEN_CHARS = r" \t\dA-Za-z_+\-*/%(),:="
+#: A line is clean when every character is whitespace, a token character,
+#: or part of a closed string (written unrolled, so matching is linear).
+_CLEAN_RE = re.compile(rf'[{_TOKEN_CHARS}]*(?:"[^"\n]*"[{_TOKEN_CHARS}]*)*')
+_TOKEN_RE = re.compile(r'"[^"\n]*"|\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*/%(),:=]')
 
-_ADD_OPS = ("+", "-")
-_MUL_OPS = ("*", "/", "%")
+#: Tokens after the last one of a line read as this end marker.
+_END = ""
+_ADD_OPS = frozenset("+-")
+_MUL_OPS = frozenset("*/%")
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "string" | "number" | "name" | "op"
-    text: str
-    line: int
-
-
-@dataclass(frozen=True)
-class _Line:
-    indent: int
-    tokens: Tuple[_Token, ...]
-    number: int
-
-
-def _tokenize_line(text: str, line_number: int) -> Tuple[_Token, ...]:
-    tokens: List[_Token] = []
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "space":
-            continue
-        if kind == "bad":
-            raise ResCCLangSyntaxError(
-                f"unexpected character {match.group()!r}", line_number
-            )
-        tokens.append(_Token(kind=kind, text=match.group(), line=line_number))
-    return tuple(tokens)
-
-
-def _logical_lines(source: str) -> List[_Line]:
-    """Split source into indented token lines, dropping blanks/comments.
-
-    A trailing backslash or an unclosed parenthesis joins physical lines,
-    which lets long headers wrap as in the paper's listing.
-    """
-    lines: List[_Line] = []
-    pending = ""
-    pending_start = 0
-    depth = 0
-    for number, raw in enumerate(source.splitlines(), start=1):
-        code = raw.split("#", 1)[0].rstrip()
-        if not pending and not code.strip():
-            continue
-        if not pending:
-            pending_start = number
-        continued = code.endswith("\\")
-        if continued:
-            code = code[:-1]
-        pending += code if not pending else " " + code.lstrip()
-        depth += code.count("(") - code.count(")")
-        if continued or depth > 0:
-            continue
-        stripped = pending.lstrip(" \t")
-        indent_text = pending[: len(pending) - len(stripped)]
-        indent = len(indent_text.replace("\t", "    "))
-        tokens = _tokenize_line(stripped, pending_start)
-        if tokens:
-            lines.append(_Line(indent=indent, tokens=tokens, number=pending_start))
-        pending = ""
-        depth = 0
-    if pending.strip():
-        tokens = _tokenize_line(pending.lstrip(), pending_start)
-        if tokens:
-            raise ResCCLangSyntaxError("unbalanced parentheses at end of file", pending_start)
-    return lines
-
-
-class _TokenCursor:
-    """Sequential reader over one logical line's tokens."""
-
-    def __init__(self, line: _Line) -> None:
-        self._tokens = line.tokens
-        self._index = 0
-        self.line_number = line.number
-
-    def peek(self) -> Optional[_Token]:
-        if self._index < len(self._tokens):
-            return self._tokens[self._index]
-        return None
-
-    def next(self) -> _Token:
-        token = self.peek()
-        if token is None:
-            raise ResCCLangSyntaxError("unexpected end of line", self.line_number)
-        self._index += 1
-        return token
-
-    def expect(self, text: str) -> _Token:
-        token = self.next()
-        if token.text != text:
-            raise ResCCLangSyntaxError(
-                f"expected {text!r}, found {token.text!r}", self.line_number
-            )
-        return token
-
-    def expect_name(self, expected: Optional[str] = None) -> _Token:
-        token = self.next()
-        if token.kind != "name":
-            raise ResCCLangSyntaxError(
-                f"expected identifier, found {token.text!r}", self.line_number
-            )
-        if expected is not None and token.text != expected:
-            raise ResCCLangSyntaxError(
-                f"expected {expected!r}, found {token.text!r}", self.line_number
-            )
-        return token
-
-    def at_end(self) -> bool:
-        return self.peek() is None
-
-    def require_end(self) -> None:
-        token = self.peek()
-        if token is not None:
-            raise ResCCLangSyntaxError(
-                f"trailing tokens starting at {token.text!r}", self.line_number
-            )
-
-
-def _parse_expr(cursor: _TokenCursor) -> Expr:
-    return _parse_add(cursor)
-
-
-def _parse_add(cursor: _TokenCursor) -> Expr:
-    node = _parse_mul(cursor)
-    while True:
-        token = cursor.peek()
-        if token is None or token.text not in _ADD_OPS:
-            return node
-        cursor.next()
-        node = BinOp(op=token.text, left=node, right=_parse_mul(cursor))
-
-
-def _parse_mul(cursor: _TokenCursor) -> Expr:
-    node = _parse_atom(cursor)
-    while True:
-        token = cursor.peek()
-        if token is None or token.text not in _MUL_OPS:
-            return node
-        cursor.next()
-        node = BinOp(op=token.text, left=node, right=_parse_atom(cursor))
-
-
-def _parse_atom(cursor: _TokenCursor) -> Expr:
-    token = cursor.next()
-    if token.kind == "number":
-        return Num(int(token.text))
-    if token.kind == "name":
-        return Name(token.text)
-    if token.text == "(":
-        inner = _parse_expr(cursor)
-        cursor.expect(")")
-        return inner
-    if token.text == "-":
-        # Unary minus, e.g. ``(offset-step)`` style rewrites: ``0 - x``.
-        return BinOp(op="-", left=Num(0), right=_parse_atom(cursor))
-    raise ResCCLangSyntaxError(
-        f"expected expression, found {token.text!r}", cursor.line_number
-    )
-
-
+_COMM_TYPES: Dict[str, CommType] = {member.value: member for member in CommType}
+_COLLECTIVES: Dict[str, Collective] = {
+    member.value.lower(): member for member in Collective
+}
 _HEADER_PARAMS = {
     "nRanks": "nranks",
     "nChannels": "nchannels",
@@ -223,178 +72,297 @@ _HEADER_PARAMS = {
     "NICPerNode": "nics_per_node",
 }
 
+#: ``(indent, tokens, line number)`` of one logical line; ``tokens`` ends
+#: with :data:`_END`.
+_Line = Tuple[int, List[str], int]
 
-def _parse_header(cursor: _TokenCursor) -> Header:
-    cursor.expect_name("def")
-    cursor.expect_name("ResCCLAlgo")
-    cursor.expect("(")
-    values = {}
+
+def _bad_character(text: str, number: int) -> ResCCLangSyntaxError:
+    bad = text[_CLEAN_RE.match(text).end()]
+    return ResCCLangSyntaxError(f"unexpected character {bad!r}", number)
+
+
+def _logical_lines(source: str) -> Iterator[_Line]:
+    """Yield the indented token lines of ``source``, dropping blanks/comments.
+
+    A trailing backslash or an unclosed parenthesis joins physical lines,
+    which lets long headers wrap as in the paper's listing; the joined
+    line reports the number of its first physical line.
+    """
+    clean, tokenize = _CLEAN_RE.fullmatch, _TOKEN_RE.findall
+    pending = ""
+    start = depth = 0
+    for number, code in enumerate(source.splitlines(), 1):
+        if "#" in code:
+            code = code[: code.index("#")]
+        code = code.rstrip()
+        if not pending:
+            if not code:
+                continue
+            start = number
+        continued = code.endswith("\\")
+        if continued:
+            code = code[:-1]
+        depth += code.count("(") - code.count(")")
+        if pending:
+            code = pending + " " + code.lstrip()
+        if continued or depth > 0:
+            pending = code
+            continue
+        pending = ""
+        depth = 0
+        text = code.lstrip(" \t")
+        indent = len(code) - len(text)
+        if indent and "\t" in code:
+            indent = len(code[:indent].replace("\t", "    "))
+        if clean(text) is None:
+            raise _bad_character(text, start)
+        tokens = tokenize(text)
+        if tokens:
+            tokens.append(_END)
+            yield indent, tokens, start
+    if pending.strip():
+        text = pending.lstrip()
+        if clean(text) is None:
+            raise _bad_character(text, start)
+        raise ResCCLangSyntaxError("unbalanced parentheses at end of file", start)
+
+
+def _unexpected(token: str, expected: str, number: int) -> ResCCLangSyntaxError:
+    if token == _END:
+        return ResCCLangSyntaxError("unexpected end of line", number)
+    return ResCCLangSyntaxError(f"expected {expected}, found {token!r}", number)
+
+
+def _require_end(tokens: List[str], i: int, number: int) -> None:
+    if tokens[i] != _END:
+        raise ResCCLangSyntaxError(f"trailing tokens starting at {tokens[i]!r}", number)
+
+
+def _parse_atom(
+    tokens: List[str], i: int, number: int, atoms: Dict[str, Expr]
+) -> Tuple[Expr, int]:
+    """``atom := number | id | '(' expr ')' | '-' atom``; returns ``(node, i)``.
+
+    Literal and identifier nodes are immutable, so one node per distinct
+    token text is shared through ``atoms``.
+    """
+    token = tokens[i]
+    if token.isdigit():
+        node = atoms[token] = Num(int(token))
+        return node, i + 1
+    if token.isidentifier():
+        node = atoms[token] = Name(token)
+        return node, i + 1
+    if token == "(":
+        node, i = _parse_expr(tokens, i + 1, number, atoms)
+        if tokens[i] != ")":
+            raise _unexpected(tokens[i], "')'", number)
+        return node, i + 1
+    if token == "-":
+        # Unary minus, e.g. ``(offset-step)`` style rewrites: ``0 - x``.
+        node, i = _parse_atom(tokens, i + 1, number, atoms)
+        return BinOp(op="-", left=Num(0), right=node), i
+    raise _unexpected(token, "expression", number)
+
+
+def _parse_expr(
+    tokens: List[str], i: int, number: int, atoms: Dict[str, Expr]
+) -> Tuple[Expr, int]:
+    """``expr := term (('+'|'-') term)*``, ``term := atom (('*'|'/'|'%') atom)*``.
+
+    Returns ``(node, i)``; operators associate to the left.
+    """
+    node: Optional[Expr] = None
+    add_op = ""
     while True:
-        token = cursor.peek()
-        if token is not None and token.text == ")":
-            cursor.next()
-            break
-        key_token = cursor.expect_name()
-        if key_token.text not in _HEADER_PARAMS:
+        term = atoms.get(tokens[i])
+        if term is None:
+            term, i = _parse_atom(tokens, i, number, atoms)
+        else:
+            i += 1
+        while tokens[i] in _MUL_OPS:
+            op = tokens[i]
+            right = atoms.get(tokens[i + 1])
+            if right is None:
+                right, i = _parse_atom(tokens, i + 1, number, atoms)
+            else:
+                i += 2
+            term = BinOp(op=op, left=term, right=right)
+        node = term if node is None else BinOp(op=add_op, left=node, right=term)
+        if tokens[i] not in _ADD_OPS:
+            return node, i
+        add_op = tokens[i]
+        i += 1
+
+
+def _expect(tokens: List[str], i: int, text: str, number: int) -> int:
+    if tokens[i] != text:
+        raise _unexpected(tokens[i], repr(text), number)
+    return i + 1
+
+
+def _parse_header(tokens: List[str], number: int) -> Header:
+    i = _expect(tokens, 0, "def", number)
+    i = _expect(tokens, i, "ResCCLAlgo", number)
+    i = _expect(tokens, i, "(", number)
+    values = {}
+    while tokens[i] != ")":
+        key = tokens[i]
+        field = _HEADER_PARAMS.get(key)
+        if field is None:
+            if not key.isidentifier():
+                raise _unexpected(key, "a header parameter", number)
             known = ", ".join(sorted(_HEADER_PARAMS))
             raise ResCCLangSyntaxError(
-                f"unknown parameter {key_token.text!r}; known: {known}",
-                cursor.line_number,
+                f"unknown parameter {key!r}; known: {known}", number
             )
-        cursor.expect("=")
-        value_token = cursor.next()
-        field = _HEADER_PARAMS[key_token.text]
-        if field == "algo_name":
-            if value_token.kind != "string":
+        if field in values:
+            raise ResCCLangSyntaxError(f"duplicate parameter {key!r}", number)
+        i = _expect(tokens, i + 1, "=", number)
+        value = tokens[i]
+        quoted = field in ("algo_name", "collective")
+        if quoted and not value.startswith('"'):
+            raise ResCCLangSyntaxError(f"{key} expects a quoted string", number)
+        if not quoted and not value.isdigit():
+            raise ResCCLangSyntaxError(f"{key} expects an integer", number)
+        if field == "collective":
+            values[field] = _COLLECTIVES.get(value[1:-1].lower())
+            if values[field] is None:
+                known = ", ".join(member.value for member in Collective)
                 raise ResCCLangSyntaxError(
-                    "AlgoName expects a quoted string", cursor.line_number
+                    f"unknown OpType {value!r}; expected one of: {known}", number
                 )
-            values[field] = value_token.text.strip('"')
-        elif field == "collective":
-            if value_token.kind != "string":
-                raise ResCCLangSyntaxError(
-                    "OpType expects a quoted string", cursor.line_number
-                )
-            values[field] = parse_collective(value_token.text)
         else:
-            if value_token.kind != "number":
-                raise ResCCLangSyntaxError(
-                    f"{key_token.text} expects an integer", cursor.line_number
-                )
-            values[field] = int(value_token.text)
-        separator = cursor.peek()
-        if separator is not None and separator.text == ",":
-            cursor.next()
-    cursor.expect(":")
-    cursor.require_end()
+            values[field] = value[1:-1] if quoted else int(value)
+        i += 1
+        if tokens[i] == ",":
+            i += 1
+        elif tokens[i] != ")":
+            raise _unexpected(tokens[i], "',' or ')'", number)
+    i = _expect(tokens, i + 1, ":", number)
+    _require_end(tokens, i, number)
     if "nranks" not in values:
-        raise ResCCLangSyntaxError("header is missing nRanks", cursor.line_number)
-    return Header(**values)
+        raise ResCCLangSyntaxError("header is missing nRanks", number)
+    try:
+        return Header(**values)
+    except ResCCLangError as exc:
+        raise ResCCLangSyntaxError(str(exc), number) from None
 
 
-def _parse_transfer(cursor: _TokenCursor) -> TransferStmt:
-    cursor.expect("(")
-    args: List[Expr] = []
-    for position in range(4):
-        args.append(_parse_expr(cursor))
-        cursor.expect(",")
-    comm_token = cursor.next()
-    if comm_token.kind not in ("name", "string"):
-        raise ResCCLangSyntaxError(
-            f"expected commType, found {comm_token.text!r}", cursor.line_number
-        )
-    comm_type = parse_comm_type(comm_token.text)
-    cursor.expect(")")
-    cursor.require_end()
-    return TransferStmt(
-        src=args[0], dst=args[1], step=args[2], chunk=args[3], comm_type=comm_type
-    )
-
-
-def _parse_for(cursor: _TokenCursor) -> Tuple[str, Tuple[Expr, ...]]:
-    var = cursor.expect_name().text
-    cursor.expect_name("in")
-    cursor.expect_name("range")
-    cursor.expect("(")
-    range_args: List[Expr] = [_parse_expr(cursor)]
-    while True:
-        token = cursor.next()
-        if token.text == ")":
-            break
-        if token.text != ",":
+def _parse_transfer(
+    tokens: List[str], number: int, atoms: Dict[str, Expr]
+) -> TransferStmt:
+    i = _expect(tokens, 1, "(", number)
+    args = []
+    for _ in range(4):
+        # Inlined look-ahead: a lone literal or identifier skips _parse_expr.
+        arg = atoms.get(tokens[i])
+        if arg is not None and tokens[i + 1] == ",":
+            i += 2
+        else:
+            arg, i = _parse_expr(tokens, i, number, atoms)
+            i = _expect(tokens, i, ",", number)
+        args.append(arg)
+    token = tokens[i]
+    comm_type = _COMM_TYPES.get(token)
+    if comm_type is None:
+        if not (token.isidentifier() or token.startswith('"')):
+            raise _unexpected(token, "commType", number)
+        comm_type = _COMM_TYPES.get(token.strip('"').lower())
+        if comm_type is None:
             raise ResCCLangSyntaxError(
-                f"expected ',' or ')', found {token.text!r}", cursor.line_number
+                f"unknown commType {token!r}; expected 'recv' or 'rrc'", number
             )
-        range_args.append(_parse_expr(cursor))
+    i = _expect(tokens, i + 1, ")", number)
+    _require_end(tokens, i, number)
+    src, dst, step, chunk = args
+    return TransferStmt(src=src, dst=dst, step=step, chunk=chunk, comm_type=comm_type)
+
+
+def _parse_for(
+    tokens: List[str], number: int, atoms: Dict[str, Expr]
+) -> Tuple[str, Tuple[Expr, ...]]:
+    var = tokens[1]
+    if not var.isidentifier():
+        raise _unexpected(var, "identifier", number)
+    i = _expect(tokens, 2, "in", number)
+    i = _expect(tokens, i, "range", number)
+    i = _expect(tokens, i, "(", number)
+    range_args = []
+    while True:
+        arg, i = _parse_expr(tokens, i, number, atoms)
+        range_args.append(arg)
+        if tokens[i] != ",":
+            break
+        i += 1
+    i = _expect(tokens, i, ")", number)
     if len(range_args) > 3:
-        raise ResCCLangSyntaxError(
-            "range() takes at most 3 arguments", cursor.line_number
-        )
-    cursor.expect(":")
-    cursor.require_end()
+        raise ResCCLangSyntaxError("range() takes at most 3 arguments", number)
+    i = _expect(tokens, i, ":", number)
+    _require_end(tokens, i, number)
     return var, tuple(range_args)
 
 
-class _BlockParser:
-    """Parses the indentation-structured statement body."""
+def _parse_block(
+    lines: Iterator[_Line], line: Optional[_Line], indent: int, atoms: Dict[str, Expr]
+) -> Tuple[List[Stmt], Optional[_Line]]:
+    """Parse statements at exactly ``indent``, starting with ``line``.
 
-    def __init__(self, lines: Sequence[_Line]) -> None:
-        self._lines = list(lines)
-        self._position = 0
-
-    def peek(self) -> Optional[_Line]:
-        if self._position < len(self._lines):
-            return self._lines[self._position]
-        return None
-
-    def parse_block(self, indent: int) -> List[Stmt]:
-        """Parse statements at exactly ``indent`` until dedent."""
-        statements: List[Stmt] = []
-        while True:
-            line = self.peek()
-            if line is None or line.indent < indent:
-                return statements
-            if line.indent > indent:
-                raise ResCCLangSyntaxError(
-                    f"unexpected indent (expected {indent} spaces, got "
-                    f"{line.indent})",
-                    line.number,
-                )
-            self._position += 1
-            statements.append(self._parse_statement(line))
-
-    def _parse_statement(self, line: _Line) -> Stmt:
-        cursor = _TokenCursor(line)
-        head = cursor.peek()
-        if head is None:
-            raise ResCCLangSyntaxError("empty statement", line.number)
-        if head.kind == "name" and head.text == "for":
-            cursor.next()
-            var, range_args = _parse_for(cursor)
-            body = self._parse_indented_body(line)
-            return ForLoop(var=var, range_args=range_args, body=tuple(body))
-        if head.kind == "name" and head.text == "transfer":
-            cursor.next()
-            return _parse_transfer(cursor)
-        if head.kind == "name":
-            target = cursor.next().text
-            cursor.expect("=")
-            value = _parse_expr(cursor)
-            cursor.require_end()
-            return Assign(target=target, value=value)
-        raise ResCCLangSyntaxError(
-            f"expected statement, found {head.text!r}", line.number
-        )
-
-    def _parse_indented_body(self, opener: _Line) -> List[Stmt]:
-        nxt = self.peek()
-        if nxt is None or nxt.indent <= opener.indent:
+    Returns the statements and the first line after the block (the
+    dedent), or ``None`` at end of input.
+    """
+    body: List[Stmt] = []
+    while line is not None:
+        line_indent, tokens, number = line
+        if line_indent != indent:
+            if line_indent < indent:
+                break
             raise ResCCLangSyntaxError(
-                "expected an indented block after ':'", opener.number
+                f"unexpected indent (expected {indent} spaces, got {line_indent})",
+                number,
             )
-        return self.parse_block(nxt.indent)
+        head = tokens[0]
+        if head == "transfer":
+            body.append(_parse_transfer(tokens, number, atoms))
+            line = next(lines, None)
+        elif head == "for":
+            var, range_args = _parse_for(tokens, number, atoms)
+            line = next(lines, None)
+            if line is None or line[0] <= line_indent:
+                raise ResCCLangSyntaxError(
+                    "expected an indented block after ':'", number
+                )
+            inner, line = _parse_block(lines, line, line[0], atoms)
+            body.append(ForLoop(var=var, range_args=range_args, body=tuple(inner)))
+        elif head.isidentifier():
+            i = _expect(tokens, 1, "=", number)
+            value, i = _parse_expr(tokens, i, number, atoms)
+            _require_end(tokens, i, number)
+            body.append(Assign(target=head, value=value))
+            line = next(lines, None)
+        else:
+            raise _unexpected(head, "statement", number)
+    return body, line
 
 
 def parse_module(source: str) -> Module:
     """Parse ResCCLang source text into an AST module."""
     lines = _logical_lines(source)
-    if not lines:
+    first = next(lines, None)
+    if first is None:
         raise ResCCLangSyntaxError("empty program", 1)
-    header_line = lines[0]
-    if header_line.indent != 0:
-        raise ResCCLangSyntaxError("the def must start at column 0", header_line.number)
-    header = _parse_header(_TokenCursor(header_line))
-    block = _BlockParser(lines[1:])
-    nxt = block.peek()
-    if nxt is None:
+    indent, tokens, number = first
+    if indent != 0:
+        raise ResCCLangSyntaxError("the def must start at column 0", number)
+    header = _parse_header(tokens, number)
+    line = next(lines, None)
+    if line is None:
+        raise ResCCLangSyntaxError("the algorithm body is empty", number)
+    body, line = _parse_block(lines, line, line[0], {})
+    if line is not None:
         raise ResCCLangSyntaxError(
-            "the algorithm body is empty", header_line.number
-        )
-    body = block.parse_block(nxt.indent)
-    remaining = block.peek()
-    if remaining is not None:
-        raise ResCCLangSyntaxError(
-            "statement outside of the ResCCLAlgo body", remaining.number
+            "statement outside of the ResCCLAlgo body", line[2]
         )
     return Module(header=header, body=body)
 

@@ -46,18 +46,6 @@ class TestHeader:
         assert module.header.nwarps == 16
         assert module.header.collective is Collective.ALLGATHER
 
-    def test_missing_nranks_rejected(self):
-        with pytest.raises(ResCCLangSyntaxError, match="missing nRanks"):
-            parse_module('def ResCCLAlgo(AlgoName="x"):\n    y = 1\n')
-
-    def test_unknown_parameter_rejected(self):
-        with pytest.raises(ResCCLangSyntaxError, match="unknown parameter"):
-            parse_module("def ResCCLAlgo(nRanks=4, bogus=1):\n    y = 1\n")
-
-    def test_unquoted_algo_name_rejected(self):
-        with pytest.raises(ResCCLangSyntaxError, match="quoted string"):
-            parse_module("def ResCCLAlgo(nRanks=4, AlgoName=ring):\n    y = 1\n")
-
     def test_wrapped_header_continuation(self):
         source = (
             'def ResCCLAlgo(nRanks=8, AlgoName="wrapped",\n'
@@ -149,34 +137,70 @@ class TestStatements:
         assert len(program.transfers) == 1
 
 
+HEADER = "def ResCCLAlgo(nRanks=4):\n"
+BODY = "    x = 1\n"
+
+
+def case(case_id, source, line, pattern):
+    return pytest.param(source, line, pattern, id=case_id)
+
+
+#: One case per ``raise`` site in ``repro/lang/parser.py``:
+#: ``(source, line the error must name, message pattern)``.
+ERROR_TABLE = [
+    case("bad-character", HEADER + "    x = 1 @ 2\n", 2, "unexpected character '@'"),
+    case("bad-character-at-eof", HEADER + "    transfer(0, 1,\n  $", 2, "unexpected character"),
+    case("unbalanced-paren-at-eof", HEADER + BODY + "    transfer(0, 1,\n", 3, "unbalanced"),
+    case("end-of-line", HEADER + "    x = \n", 2, "end of line"),
+    case("expected-token", HEADER + "    x 1\n", 2, "expected '='"),
+    case("trailing-token", HEADER + "    x = 1 2\n", 2, "trailing tokens"),
+    case("continuation-line", "# c\n" + HEADER + "    x = (1 +\n  2 3)\n", 3, "expected '\\)'"),
+    case("expected-expression", HEADER + "    x = * 2\n", 2, "expected expression"),
+    case("header-not-a-name", "def ResCCLAlgo(nRanks=4, 5=2):\n" + BODY, 1, "header parameter"),
+    case("header-unknown", "def ResCCLAlgo(nRanks=4, bogus=1):\n" + BODY, 1, "unknown parameter"),
+    case("header-duplicate", "def ResCCLAlgo(nRanks=2, nRanks=4):\n" + BODY, 1, "duplicate"),
+    case(
+        "header-duplicate-wrapped",
+        "# c\ndef ResCCLAlgo(nRanks=2,\n    nChannels=1,\n    nChannels=4):\n" + BODY,
+        2,
+        "duplicate parameter 'nChannels'",
+    ),
+    case("header-missing-comma", "def ResCCLAlgo(nRanks=2 nChannels=4):\n" + BODY, 1, "',' or"),
+    case("header-unquoted", "def ResCCLAlgo(nRanks=4, AlgoName=ring):\n" + BODY, 1, "quoted"),
+    case("header-not-integer", 'def ResCCLAlgo(nRanks="4"):\n' + BODY, 1, "expects an integer"),
+    case("header-optype", 'def ResCCLAlgo(nRanks=4, OpType="bogus"):\n' + BODY, 1, "OpType"),
+    case("header-no-nranks", 'def ResCCLAlgo(AlgoName="x"):\n' + BODY, 1, "missing nRanks"),
+    case("header-out-of-range", "def ResCCLAlgo(nRanks=0):\n" + BODY, 1, "nRanks must be >= 2"),
+    case("commtype-not-a-name", HEADER + "    transfer(0, 1, 0, 0, 5)\n", 2, "expected commType"),
+    case("commtype-unknown", HEADER + "\n    transfer(0, 1, 0, 0, foo)\n", 3, "commType 'foo'"),
+    case("for-not-a-name", HEADER + "    for 1 in range(2):\n    " + BODY, 2, "identifier"),
+    case("range-arity", HEADER + "    for i in range(0, 1, 2, 3):\n    " + BODY, 2, "at most 3"),
+    case("unexpected-indent", HEADER + BODY + "      y = 2\n", 3, "unexpected indent"),
+    case("missing-indent", HEADER + "    for i in range(2):\n" + BODY, 2, "indented block"),
+    case("expected-statement", HEADER + BODY + "    5 = 3\n", 3, "expected statement"),
+    case("empty-program", "   \n# just a comment\n", 1, "empty program"),
+    case("indented-def", "\n  " + HEADER + BODY, 2, "column 0"),
+    case("empty-body", "# c\n" + HEADER, 2, "body is empty"),
+    case("statement-outside-body", HEADER + BODY + "y = 2\n", 3, "outside"),
+]
+
+
 class TestErrors:
-    def test_empty_program(self):
-        with pytest.raises(ResCCLangSyntaxError, match="empty program"):
-            parse_module("   \n# just a comment\n")
+    @pytest.mark.parametrize("source,line,pattern", ERROR_TABLE)
+    def test_error_names_its_line(self, source, line, pattern):
+        with pytest.raises(ResCCLangSyntaxError, match=pattern) as info:
+            parse_module(source)
+        assert info.value.line == line
+        assert str(info.value).startswith(f"line {line}: ")
 
-    def test_empty_body(self):
-        with pytest.raises(ResCCLangSyntaxError, match="body is empty"):
-            parse_module("def ResCCLAlgo(nRanks=4):\n")
+    def test_first_offending_line_wins(self):
+        """Lines stream into the parser, so errors come in source order."""
+        with pytest.raises(ResCCLangSyntaxError) as info:
+            parse_module(HEADER + "    x = 1 2\n    y = $\n")
+        assert info.value.line == 2
 
-    def test_bad_character(self):
-        with pytest.raises(ResCCLangSyntaxError, match="unexpected character"):
-            parse_module("def ResCCLAlgo(nRanks=4):\n    x = 1 @ 2\n")
-
-    def test_error_carries_line_number(self):
-        try:
-            parse_module("def ResCCLAlgo(nRanks=4):\n    x = \n")
-        except ResCCLangSyntaxError as exc:
-            assert exc.line == 2
-        else:
-            pytest.fail("expected a syntax error")
-
-    def test_missing_indent(self):
-        with pytest.raises(ResCCLangSyntaxError, match="indented block"):
-            parse_module(
-                "def ResCCLAlgo(nRanks=4):\n"
-                "    for i in range(2):\n"
-                "    transfer(0, 1, 0, 0, recv)\n"
-            )
+    def test_trailing_header_comma_still_accepted(self):
+        assert parse_module("def ResCCLAlgo(nRanks=4,):\n    x = 1\n").header.nranks == 4
 
     def test_bad_comm_type(self):
         with pytest.raises(ValueError, match="commType"):
@@ -184,35 +208,8 @@ class TestErrors:
                 "def ResCCLAlgo(nRanks=4):\n    transfer(0, 1, 0, 0, push)\n"
             )
 
-    def test_too_many_range_args(self):
-        with pytest.raises(ResCCLangSyntaxError, match="at most 3"):
-            parse_module(
-                "def ResCCLAlgo(nRanks=4):\n"
-                "    for i in range(0, 1, 2, 3):\n"
-                "        transfer(0, 1, 0, 0, recv)\n"
-            )
-
-    def test_trailing_tokens(self):
-        with pytest.raises(ResCCLangSyntaxError, match="trailing"):
-            parse_module("def ResCCLAlgo(nRanks=4):\n    x = 1 2\n")
-
-    def test_statement_outside_body(self):
-        with pytest.raises(ResCCLangSyntaxError, match="outside"):
-            parse_module(
-                "def ResCCLAlgo(nRanks=4):\n    x = 1\ny = 2\n"
-            )
-
 
 class TestRoundTrip:
-    def test_to_source_round_trips(self):
-        from repro.algorithms import hm_allreduce
-
-        program = hm_allreduce(2, 4)
-        reparsed = parse_program(program.to_source())
-        assert reparsed.header.nranks == program.header.nranks
-        assert reparsed.header.collective is program.header.collective
-        assert reparsed.transfers == program.transfers
-
     def test_figure16_program_parses(self):
         """The Appendix B example (Figure 16), generalized shape 4x8."""
         source = """\
