@@ -1,15 +1,23 @@
-"""Overhead benchmark for end-to-end request tracing.
+"""Overhead benchmarks for request tracing and simulator metrics.
 
-Boots the same daemon three times over one pre-warmed plan cache —
-tracing **off** (``trace_sample=0``), **sampled** (every 16th request),
-and **always-on** (every request) — and drives each with the same
-multi-threaded warm closed loop the service load benchmark uses,
-recording sustained req/s and p50/p99 latency per mode.
-
-The bar: always-on tracing (span trees in every worker, stitching and
+**Tracing.**  Boots the same daemon three times over one pre-warmed
+plan cache — tracing **off** (``trace_sample=0``), **sampled** (every
+16th request), and **always-on** (every request) — and drives each with
+the same multi-threaded warm closed loop the service load benchmark
+uses, recording sustained req/s and p50/p99 latency per mode.  The bar:
+always-on tracing (span trees in every worker, stitching and
 flight-recorder offers on every request) must cost **at most 5% of warm
-throughput** versus tracing off.  Writes ``BENCH_obs_overhead.json`` at
-the repo root for CI diffing.
+throughput** versus tracing off.  Service workers always arm a metrics
+registry, so both arms of this comparison pay for metrics.
+
+**Metrics.**  Runs an in-process ``simulate`` of mesh-allreduce at 2x8
+and 8x8 (64 MB) with and without an armed registry (``collecting()``),
+best of ``METRICS_ROUNDS`` each.  The bar: the armed run is **within 5%**
+of the unarmed one at both scales, and it publishes the same number of
+series at both scales.
+
+Both write into ``BENCH_obs_overhead.json`` at the repo root for CI
+diffing (the metrics arm under its ``metrics`` key).
 """
 
 from __future__ import annotations
@@ -21,7 +29,12 @@ from pathlib import Path
 
 from conftest import once  # noqa: F401 - pytest fixture re-export
 
+from repro.algorithms import build_algorithm
+from repro.core import ResCCLBackend
+from repro.obs import collecting
+from repro.runtime import MB, simulate
 from repro.service import ServiceClient, ServiceConfig, ServiceDaemon
+from repro.topology import Cluster
 
 OUT = Path(__file__).resolve().parent.parent / "BENCH_obs_overhead.json"
 
@@ -46,6 +59,18 @@ MODES = [
     ("sampled_1_16", 1.0 / 16.0),
     ("always_on", 1.0),
 ]
+
+#: Metrics arm: (nodes, gpus) scales of mesh-allreduce at 64 MB.
+METRICS_SCALES = [(2, 8), (8, 8)]
+METRICS_BUFFER_MB = 64
+METRICS_ROUNDS = 5
+
+
+def _update_out(**sections):
+    """Merge top-level sections into BENCH_obs_overhead.json."""
+    data = json.loads(OUT.read_text()) if OUT.exists() else {}
+    data.update(sections)
+    OUT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _percentile(sorted_values, q):
@@ -142,7 +167,7 @@ def test_obs_overhead(tmp_path, once):
     data["always_on_overhead_frac"] = round(overhead, 4)
     print(f"  always-on overhead: {overhead:.1%} of off-mode throughput")
 
-    OUT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    _update_out(**data)
     print(f"wrote {OUT}")
 
     assert not data["failures"], data["failures"]
@@ -156,3 +181,57 @@ def test_obs_overhead(tmp_path, once):
         f"always-on tracing cost {overhead:.1%} "
         f"({always['req_per_s']} vs {off['req_per_s']} req/s)"
     )
+
+
+def _series_count(registry):
+    return sum(len(entry["samples"]) for entry in registry.to_json().values())
+
+
+def _run_metrics_arm():
+    scales = {}
+    for nodes, gpus in METRICS_SCALES:
+        cluster = Cluster(nodes=nodes, gpus_per_node=gpus)
+        plan = ResCCLBackend().plan(
+            cluster, build_algorithm("mesh-allreduce", cluster),
+            METRICS_BUFFER_MB * MB,
+        )
+        off, on = [], []
+        for _ in range(METRICS_ROUNDS):
+            # Alternate the arms so machine drift hits both alike.
+            start = time.perf_counter()
+            unarmed = simulate(plan)
+            off.append(time.perf_counter() - start)
+            with collecting() as registry:
+                start = time.perf_counter()
+                armed = simulate(plan)
+                on.append(time.perf_counter() - start)
+            assert armed.completion_time_us == unarmed.completion_time_us
+        scales[f"{nodes}x{gpus}"] = {
+            "off_ms": round(min(off) * 1e3, 2),
+            "on_ms": round(min(on) * 1e3, 2),
+            "overhead_frac": round(min(on) / min(off) - 1.0, 4),
+            "series": _series_count(registry),
+        }
+    return {"algorithm": "mesh-allreduce", "buffer_mb": METRICS_BUFFER_MB,
+            "rounds": METRICS_ROUNDS, "scales": scales}
+
+
+def test_metrics_overhead(once):
+    data = once(_run_metrics_arm)
+
+    print("\nmetrics overhead (in-process simulate, best of "
+          f"{data['rounds']}):")
+    for scale, row in data["scales"].items():
+        print(f"  {scale}: off {row['off_ms']} ms, on {row['on_ms']} ms "
+              f"({row['overhead_frac']:+.1%}), {row['series']} series")
+    _update_out(metrics=data)
+    print(f"wrote {OUT}")
+
+    rows = list(data["scales"].values())
+    # The series count does not grow with the fabric.
+    assert len({row["series"] for row in rows}) == 1, rows
+    # The acceptance bar: an armed simulate costs <= 5% wall time.
+    for scale, row in data["scales"].items():
+        assert row["on_ms"] <= 1.05 * row["off_ms"], (
+            f"armed simulate at {scale} cost {row['overhead_frac']:.1%}"
+        )

@@ -434,6 +434,31 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _link_table(report, limit: int) -> str:
+    """Per-link busy time, bytes and utilization, busiest first.
+
+    The registry carries per-tier sums only; this is where the per-link
+    detail of ``report.link_stats`` is shown.
+    """
+    links = sorted(
+        report.link_stats.values(), key=lambda ls: (-ls.busy_time, ls.link)
+    )
+    shown = links[:limit] if limit else links
+    rows = [
+        (
+            ls.link,
+            f"{ls.busy_time:.1f}",
+            f"{ls.bytes_moved / MB:.2f}",
+            f"{ls.utilization(report.completion_time_us):.1%}",
+        )
+        for ls in shown
+    ]
+    return (
+        f"links ({len(shown)} of {len(links)}, busiest first):\n"
+        + format_table(("link", "busy us", "MB", "util"), rows, indent="  ")
+    )
+
+
 def cmd_profile(args: argparse.Namespace) -> int:
     _configure_cache(args)
     _configure_tuning(args)
@@ -465,6 +490,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     print(obs.tracer.render())
     print()
     print(attribute(report, dag=plan.dag).render())
+    print()
+    print(_link_table(report, args.metrics_limit))
     print()
     print("metrics:")
     print(obs.registry.render(limit=args.metrics_limit))
@@ -795,7 +822,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write metrics here (.prom for Prometheus "
                         "text format, anything else for JSON)")
     p_prof.add_argument("--metrics-limit", type=int, default=12,
-                        help="metric series shown inline (0 = all)")
+                        help="metric series and links shown inline "
+                        "(0 = all)")
     _add_fidelity_arg(p_prof)
     _add_fault_args(p_prof)
     _add_cache_args(p_prof)

@@ -1,12 +1,14 @@
 """Metrics registry: labelled counters, gauges, and histograms.
 
-The runtime publishes operational measurements here — per-link bytes and
-busy time, FIFO credit stalls and queue depths, flow admissions and rate
-reallocations, fault/recovery counts — when a registry is armed via
-:func:`collecting` (or :func:`repro.obs.observe`).  Publishers hold a
-reference obtained from :func:`current_registry` at construction time
-and guard every publish with a ``None`` check, so the disarmed path
-costs one attribute test.
+Subsystems publish operational measurements here when a registry is
+armed via :func:`collecting` (or :func:`repro.obs.observe`): compile
+phase times and plan-cache hits, fault/recovery counts, service request
+latencies, and the simulator's run totals — link bytes and busy time
+per fabric tier, FIFO credit stalls, flow admissions and rate
+reallocations.  The simulator publishes once per run from its own
+counters, never per event.  Publishers hold a reference obtained from
+:func:`current_registry` and guard every publish with a ``None`` check,
+so the disarmed path costs one attribute test.
 
 Exports: :meth:`MetricsRegistry.to_json` (nested dict) and
 :meth:`MetricsRegistry.to_prometheus` (Prometheus text exposition
@@ -14,7 +16,7 @@ format, one sample per label set).
 
 Metric names use Prometheus conventions: ``<subsystem>_<what>_<unit>``
 with ``_total`` suffixes on counters (``sim_credit_stalls_total``,
-``net_flows_admitted_total``, ``sim_link_bytes_total{link="..."}``).
+``net_reallocations_total``, ``sim_link_bytes_total{tier="nvlink"}``).
 """
 
 from __future__ import annotations

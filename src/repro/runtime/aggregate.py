@@ -131,9 +131,6 @@ def expand_report(report: SimReport, collapsed: CollapsedPlan) -> SimReport:
             else:
                 expanded.append(ev)
         report.trace = expanded
-    counters = report.counters
-    counters.agg_runs_collapsed += collapsed.runs_collapsed
-    counters.agg_instances_expanded += collapsed.runs_collapsed * (n_mb - 1)
     return report
 
 

@@ -113,7 +113,6 @@ class FlowNetwork:
     Args:
         edge_capacity: raw capacity (bytes/us) per contention edge.
         gamma: Equation 1 contention penalty coefficient.
-        metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`.
         incremental: use the dirty-edge incremental solver (default).
             ``False`` selects the brute-force reference allocator, which
             produces identical rates at ``O(edges + flows)`` per pass.
@@ -134,7 +133,6 @@ class FlowNetwork:
         self,
         edge_capacity: Dict[str, float],
         gamma: float = 0.03,
-        metrics=None,
         incremental: bool = True,
         rate_rel_epsilon: float = 0.0,
         vectorize: bool = True,
@@ -189,10 +187,8 @@ class FlowNetwork:
         # Fault-injection capacity scaling; empty when no faults are armed,
         # so the healthy-fabric math is untouched.
         self._factor: Dict[str, float] = {}
-        # Optional repro.obs.metrics.MetricsRegistry; None means every
-        # publish site is a single attribute test (observability off).
-        self._metrics = metrics
-        # Cheap solver counters, folded into SimReport.counters.
+        # Cheap solver counters, folded into SimReport.counters (the
+        # simulator publishes them to any armed registry once per run).
         self.reallocations = 0
         self.shares_computed = 0
         self.rate_updates = 0
@@ -244,8 +240,6 @@ class FlowNetwork:
             self._factor.pop(edge, None)
         else:
             self._factor[edge] = max(0.0, factor)
-        if self._metrics is not None:
-            self._metrics.inc("net_capacity_derates_total", edge=edge)
         return self._reallocate((edge,), now)
 
     # ------------------------------------------------------------------
@@ -310,13 +304,6 @@ class FlowNetwork:
                 else:
                     lst.append(slot)
         self.flows_admitted += 1
-        if self._metrics is not None:
-            self._metrics.inc("net_flows_admitted_total")
-            for edge in flow.edges:
-                self._metrics.observe(
-                    "net_edge_flow_depth", len(self._edge_flows[edge]),
-                    edge=edge,
-                )
         if not ordered and self._vectorize and self._incremental:
             changed = self._rerate_admission(flow, now)
         else:
@@ -515,10 +502,6 @@ class FlowNetwork:
         if ordered:
             changed.sort(key=lambda f: f.flow_id)
         self.rate_updates += len(changed)
-        if self._metrics is not None:
-            self._metrics.inc("net_reallocations_total")
-            if changed:
-                self._metrics.inc("net_rate_changes_total", len(changed))
         return changed
 
     def _rerate_admission(self, flow: Flow, now: float) -> List[Flow]:
@@ -611,10 +594,6 @@ class FlowNetwork:
             rate_arr[self._flow_slot[flow.flow_id]] = new_rate
             changed.append(flow)
         self.rate_updates += len(changed)
-        if self._metrics is not None:
-            self._metrics.inc("net_reallocations_total")
-            if changed:
-                self._metrics.inc("net_rate_changes_total", len(changed))
         return changed
 
     def _rerate_scalar(self, affected, share, now: float) -> List[Flow]:

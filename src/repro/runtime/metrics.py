@@ -124,6 +124,11 @@ class FaultStats:
     downtime_us: float = 0.0
     fallback_overhead_us: float = 0.0
     recovery_latencies_us: List[float] = field(default_factory=list)
+    #: Fault/detection/recovery trace events by kind — complete even
+    #: when the bounded fault-trace ring buffer evicted some.
+    events: Dict[str, int] = field(default_factory=dict)
+    #: Edge capacity changes (derates and restores) by fabric tier.
+    capacity_changes: Dict[str, int] = field(default_factory=dict)
 
     @property
     def mean_recovery_latency_us(self) -> float:
@@ -149,9 +154,12 @@ class SimCounters:
     """Cheap event-loop and rate-solver counters for one simulated run.
 
     Maintained unconditionally (plain integer bumps on paths that are
-    already per-event), surfaced by ``resccl profile`` and the ``sim_*``
-    metric series, and asserted on by ``benchmarks/test_perf_scaling.py``
-    to keep the incremental solver's work bounded.
+    already per-event), surfaced by ``resccl profile``, and asserted on
+    by ``benchmarks/test_perf_scaling.py`` to keep the incremental
+    solver's work bounded.  They are the single source of the ``sim_*``
+    and ``net_*`` metric series: when a registry is armed the simulator
+    publishes them once per run, after the event loop, and never
+    touches the registry per event.
 
     Physical report fields must be bit-identical across every exact
     solver/queue/aggregation configuration; a few *work counters* are
@@ -170,6 +178,8 @@ class SimCounters:
     shares_computed: int = 0
     rate_updates: int = 0
     flows_admitted: int = 0
+    #: Sender waits on an exhausted FIFO credit (one per blocked send).
+    credit_stalls: int = 0
     #: Reallocation passes re-rated by the numpy path vs the scalar loop.
     vectorized_passes: int = 0
     scalar_passes: int = 0
@@ -230,7 +240,8 @@ class SimCounters:
             f"{self.scalar_passes} scalar), "
             f"{self.shares_computed} edge shares computed, "
             f"{self.rate_updates} rate updates; "
-            f"{self.flows_admitted} flow(s) admitted"
+            f"{self.flows_admitted} flow(s) admitted, "
+            f"{self.credit_stalls} credit stall(s)"
         )
         if self.agg_tasks_cached:
             text += f"; aggregation: {self.agg_tasks_cached} task(s) cached"

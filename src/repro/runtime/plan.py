@@ -150,7 +150,11 @@ class SimConfig:
             dispatch.  ``False`` restores the pre-bucket discipline —
             stale events are dispatched and recognised by a version
             check — which the scale benchmark uses as its baseline.
-            Both disciplines are bit-identical.
+            The two are not bit-identical: both admit the same flows,
+            move the same bytes and complete the same instances, but
+            simultaneous completions may tie-break in a different
+            order, so completion times agree to model tolerance only
+            (``docs/performance.md``).
         aggregate_microbatches: share one representative instance's
             validation and schedule metadata (route, send cap, receive
             copy duration) across its micro-batch siblings instead of

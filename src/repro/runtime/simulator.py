@@ -32,6 +32,7 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 from ..ir.task import CommType
 from ..obs.metrics import current_registry
 from ..obs.spans import span as obs_span
+from ..topology.cluster import TIERS, tier_of
 from .aggregate import collapse_microbatch_runs, expand_report
 from .events import make_event_queue
 from .flows import Flow, FlowNetwork
@@ -141,13 +142,13 @@ class Simulator:
         self.cluster = plan.cluster
         self.config = plan.config
         self.dag = plan.dag
-        # Ambient metrics registry; None (the common case) means every
-        # publish site is a single attribute test and nothing else.
+        # Ambient metrics registry, or None.  Nothing on the event path
+        # touches it: run() publishes the run's own counters once, at
+        # the end (see _publish_metrics).
         self._metrics = current_registry()
         self.network = FlowNetwork(
             {e: self.cluster.edge_capacity(e) for e in self.cluster.edges},
             gamma=self.config.gamma,
-            metrics=self._metrics,
             incremental=self.config.incremental_rates,
             rate_rel_epsilon=self.config.rate_rel_epsilon,
             vectorize=self.config.vectorized_rates,
@@ -328,7 +329,21 @@ class Simulator:
             )
 
     def run(self) -> SimReport:
-        """Run to completion and return the measurement report."""
+        """Run to completion and return the measurement report.
+
+        The run's counters are folded — and, when a registry is armed,
+        published — also when the run ends in a deadlock, a watchdog
+        stall, or a hand-off to a recovery rung.
+        """
+        try:
+            self._event_loop()
+        finally:
+            self._fold_counters()
+            if self._metrics is not None:
+                self._publish_metrics()
+        return self._report()
+
+    def _event_loop(self) -> None:
         for tb in self.tbs:
             self._advance(tb)
         if self.watchdog_window_us > 0:
@@ -375,7 +390,6 @@ class Simulator:
                 raise RuntimeError(f"unknown event kind {kind!r}")
         if self._unfinished:
             raise SimulationDeadlock(self._deadlock_report())
-        return self._report()
 
     # ------------------------------------------------------------------
     # TB state machine
@@ -443,10 +457,6 @@ class Simulator:
                 tb.stats.data_wait += waited
             else:
                 tb.stats.sync_wait += waited
-            if self._metrics is not None:
-                self._metrics.observe(
-                    "sim_wait_us", waited, kind=tb.wait_kind
-                )
             # Bind the wait to the blocked task when the key carries one
             # (deps/data waits); the analyzer uses it to splice the
             # critical path across TBs at wait boundaries.
@@ -487,12 +497,7 @@ class Simulator:
                 self._unblock(tb)
                 self._block(tb, "credit", credit_key, "sync")
                 self._credit_queue[credit_key].append(tb.index)
-                if self._metrics is not None:
-                    self._metrics.inc("sim_credit_stalls_total")
-                    self._metrics.observe(
-                        "sim_credit_queue_depth",
-                        len(self._credit_queue[credit_key]),
-                    )
+                self.counters.credit_stalls += 1
             return False
         self._unblock(tb)
         self._credits[credit_key] -= 1
@@ -538,8 +543,6 @@ class Simulator:
             self._flow_version[flow.flow_id] = 0
         tb.phase = _INFLIGHT
         self._progress()
-        if self._metrics is not None:
-            self._metrics.inc("sim_flows_started_total")
         self._link_enter(task.link)
         self._post_flow_eta(flow)
         if not self._lazy_inval:
@@ -686,11 +689,6 @@ class Simulator:
 
         task = self.dag.task(task_id)
         self._link_exit(task.link, flow.nbytes)
-        if self._metrics is not None:
-            self._metrics.inc("sim_flows_completed_total")
-            self._metrics.inc(
-                "sim_link_bytes_total", flow.nbytes, link=task.link
-            )
 
         sender = self.tbs[sender_index]
         send_start = flow.start_time - self._route_latency(task_id, task)
@@ -876,8 +874,6 @@ class Simulator:
         if not self._stall_reported:
             self._stall_reported = True
             self.stalls_detected += 1
-            if self._metrics is not None:
-                self._metrics.inc("sim_watchdog_stalls_total")
             if self.fault_stats is not None:
                 self.fault_stats.detected_stalls += 1
             self.record_fault_event(
@@ -939,12 +935,17 @@ class Simulator:
                 end_us=end,
             )
         )
-        if self._metrics is not None:
-            self._metrics.inc("sim_fault_events_total", kind=kind)
+        if self.fault_stats is not None:
+            events = self.fault_stats.events
+            events[kind] = events.get(kind, 0) + 1
 
     def apply_edge_factor(self, edge: str, factor: float) -> None:
         """Derate (or restore) a contention edge mid-run."""
         changed = self.network.set_capacity_factor(edge, factor, self.now)
+        if self.fault_stats is not None:
+            tiers = self.fault_stats.capacity_changes
+            tier = tier_of(edge)
+            tiers[tier] = tiers.get(tier, 0) + 1
         for flow in changed:
             self._post_flow_eta(flow)
 
@@ -1029,26 +1030,24 @@ class Simulator:
     # Reporting
     # ------------------------------------------------------------------
 
-    def _report(self) -> SimReport:
+    def _completion_time(self) -> float:
         # Completion is when the last TB retires; stale (version-
         # invalidated) flow events may leave self.now slightly past that.
-        completion = max(
+        return max(
             (tb.stats.release_time for tb in self.tbs), default=self.now
         )
-        trace = self._trace
-        if self._fault_trace:
-            # Interleave the (bounded) fault timeline chronologically.
-            trace = sorted(
-                [*trace, *self._fault_trace],
-                key=lambda e: (e.start_us, e.end_us),
-            )
+
+    def _fold_counters(self) -> None:
+        """Fold the flow network's and event queue's totals into
+        ``self.counters`` (once, when the event loop ends)."""
         counters = self.counters
-        counters.reallocations = self.network.reallocations
-        counters.shares_computed = self.network.shares_computed
-        counters.rate_updates = self.network.rate_updates
-        counters.flows_admitted = self.network.flows_admitted
-        counters.vectorized_passes = self.network.vectorized_passes
-        counters.scalar_passes = self.network.scalar_passes
+        network = self.network
+        counters.reallocations = network.reallocations
+        counters.shares_computed = network.shares_computed
+        counters.rate_updates = network.rate_updates
+        counters.flows_admitted = network.flows_admitted
+        counters.vectorized_passes = network.vectorized_passes
+        counters.scalar_passes = network.scalar_passes
         queue = self._queue
         # Cancelled (superseded) entries never dispatched; fold them into
         # the pop/stale totals so the counters keep the pre-bucket
@@ -1061,40 +1060,79 @@ class Simulator:
         counters.agg_tasks_cached = len(self._task_send_meta) + len(
             self._task_recv_duration
         )
-        if self._metrics is not None:
-            self._metrics.set("sim_completion_time_us", completion)
-            self._metrics.inc("sim_events_posted_total", counters.events_posted)
-            self._metrics.inc("sim_events_popped_total", counters.events_popped)
-            self._metrics.inc(
-                "sim_stale_events_skipped_total",
-                counters.stale_events_skipped,
-            )
-            self._metrics.inc(
-                "sim_rate_reallocations_total", counters.reallocations
-            )
-            self._metrics.inc(
-                "sim_edge_shares_computed_total", counters.shares_computed
-            )
-            self._metrics.set("sim_queue_depth_max", counters.queue_depth_max)
-            self._metrics.set(
-                "sim_bucket_occupancy_max", counters.bucket_occupancy_max
-            )
-            if counters.vectorized_passes:
-                self._metrics.inc(
-                    "sim_vectorized_passes_total", counters.vectorized_passes
+
+    def _publish_metrics(self) -> None:
+        """Publish this run to the armed registry, once.
+
+        The only registry calls the simulator makes.  Every series is
+        read from the run's own plain counters — ``SimCounters``, the
+        ``TBStats``, the ``LinkStats`` and the ``FaultStats`` — and the
+        per-link detail is summed per fabric tier, so the series count
+        does not depend on the fabric size.  Per-link numbers stay in
+        ``SimReport.link_stats``.
+        """
+        registry = self._metrics
+        counters = self.counters
+        registry.set("sim_completion_time_us", self._completion_time())
+        for name, value in (
+            ("sim_events_posted_total", counters.events_posted),
+            ("sim_events_popped_total", counters.events_popped),
+            ("sim_stale_events_skipped_total", counters.stale_events_skipped),
+            ("sim_flows_started_total", counters.flows_admitted),
+            ("sim_credit_stalls_total", counters.credit_stalls),
+            ("sim_watchdog_stalls_total", self.stalls_detected),
+            ("sim_edge_shares_computed_total", counters.shares_computed),
+            ("sim_vectorized_passes_total", counters.vectorized_passes),
+            ("sim_agg_runs_collapsed_total", counters.agg_runs_collapsed),
+            ("sim_agg_instances_expanded_total",
+             counters.agg_instances_expanded),
+            ("sim_agg_collapse_noop_total", counters.agg_collapse_noop),
+            ("net_reallocations_total", counters.reallocations),
+            ("net_rate_changes_total", counters.rate_updates),
+        ):
+            registry.inc(name, value)
+        registry.set("sim_queue_depth_max", counters.queue_depth_max)
+        registry.set("sim_bucket_occupancy_max", counters.bucket_occupancy_max)
+        registry.set("sim_agg_tasks_cached", counters.agg_tasks_cached)
+        stats = [tb.stats for tb in self.tbs]
+        registry.inc(
+            "sim_wait_us_total", sum(s.data_wait for s in stats), kind="data"
+        )
+        registry.inc(
+            "sim_wait_us_total", sum(s.sync_wait for s in stats), kind="sync"
+        )
+        busy = dict.fromkeys(TIERS, 0.0)
+        moved = dict.fromkeys(TIERS, 0.0)
+        for link, link_stats in self._link_stats.items():
+            tier = tier_of(link)
+            busy[tier] += link_stats.busy_time
+            moved[tier] += link_stats.bytes_moved
+        for tier in TIERS:
+            registry.set("sim_link_busy_us", busy[tier], tier=tier)
+            registry.inc("sim_link_bytes_total", moved[tier], tier=tier)
+        faults = self.fault_stats
+        if faults is not None:
+            for tier in TIERS:
+                registry.inc(
+                    "net_capacity_derates_total",
+                    faults.capacity_changes.get(tier, 0),
+                    tier=tier,
                 )
-            if counters.agg_tasks_cached:
-                self._metrics.set(
-                    "sim_agg_tasks_cached", counters.agg_tasks_cached
-                )
-            for link, stats in self._link_stats.items():
-                self._metrics.set(
-                    "sim_link_busy_us", stats.busy_time, link=link
-                )
+            for kind, count in faults.events.items():
+                registry.inc("sim_fault_events_total", count, kind=kind)
+
+    def _report(self) -> SimReport:
+        trace = self._trace
+        if self._fault_trace:
+            # Interleave the (bounded) fault timeline chronologically.
+            trace = sorted(
+                [*trace, *self._fault_trace],
+                key=lambda e: (e.start_us, e.end_us),
+            )
         return SimReport(
             plan_name=self.plan.name,
             mode=self.plan.mode,
-            completion_time_us=completion,
+            completion_time_us=self._completion_time(),
             total_bytes=self.plan.total_bytes,
             tb_stats=[tb.stats for tb in self.tbs],
             link_stats=self._link_stats,
@@ -1103,7 +1141,7 @@ class Simulator:
             fault_stats=self.fault_stats,
             trace_dropped=self._trace_dropped,
             link_trace=self._link_trace,
-            counters=counters,
+            counters=self.counters,
         )
 
     def _describe_invocation(self, inv: Optional[Invocation]) -> str:
@@ -1198,32 +1236,26 @@ def simulate(
             # >= 8x8 / 64 MB mesh-allreduce gotcha).
             collapse_noop = True
     with obs_span("simulate", plan=plan.name) as sp:
-        report = Simulator(
+        sim = Simulator(
             collapsed.plan if collapsed is not None else plan,
             background_traffic=background_traffic,
             record_trace=record_trace,
             injector=injector,
             recovery=recovery,
-        ).run()
+        )
+        # The collapse outcome is known before the run, so it lands in
+        # the counters the run publishes.
+        counters = sim.counters
+        counters.agg_collapse_disabled = int(collapse_disabled)
+        counters.agg_collapse_noop = int(collapse_noop)
+        if collapsed is not None:
+            counters.agg_runs_collapsed = collapsed.runs_collapsed
+            counters.agg_instances_expanded = collapsed.runs_collapsed * (
+                collapsed.n_microbatches - 1
+            )
+        report = sim.run()
         if collapsed is not None:
             report = expand_report(report, collapsed)
-            registry = current_registry()
-            if registry is not None:
-                registry.inc(
-                    "sim_agg_runs_collapsed_total",
-                    report.counters.agg_runs_collapsed,
-                )
-                registry.inc(
-                    "sim_agg_instances_expanded_total",
-                    report.counters.agg_instances_expanded,
-                )
-        if collapse_disabled:
-            report.counters.agg_collapse_disabled = 1
-        if collapse_noop:
-            report.counters.agg_collapse_noop = 1
-            registry = current_registry()
-            if registry is not None:
-                registry.inc("sim_agg_collapse_noop_total")
         sp.set(
             completion_time_us=report.completion_time_us,
             tbs=report.tb_count(),

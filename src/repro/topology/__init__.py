@@ -1,6 +1,6 @@
 """Cluster topology substrate: hardware profiles, routing, contention edges."""
 
-from .cluster import Cluster, Path, multi_node, single_node
+from .cluster import TIERS, Cluster, Path, multi_node, single_node, tier_of
 from .hardware import (
     GpuProfile,
     LinkSpec,
@@ -14,6 +14,8 @@ from .hardware import (
 __all__ = [
     "Cluster",
     "Path",
+    "TIERS",
+    "tier_of",
     "GpuProfile",
     "LinkSpec",
     "a100_profile",

@@ -33,6 +33,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from .hardware import GpuProfile, a100_profile
 
 
+#: Fabric tiers that own contention edges: NVSwitch ports and NIC
+#: directions.  The aggregation tier is non-blocking, so it has none.
+TIERS = ("nvlink", "nic")
+
+
+def tier_of(name: str) -> str:
+    """Fabric tier of a contention edge (``nv:*``/``nic:*``) or a
+    logical link (``nvlink:*``/``nic:*``)."""
+    return "nic" if name.startswith("nic") else "nvlink"
+
+
 @dataclass(frozen=True)
 class Path:
     """The resources and latency of one rank-to-rank transfer route.

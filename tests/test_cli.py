@@ -450,6 +450,26 @@ class TestProfileCommand:
         assert "faults:" in printed
         assert "critical path" in printed
 
+    def test_per_link_table_top_links_by_busy_time(self, capsys):
+        argv = ["profile", "hm-allreduce", "--nodes", "2", "--gpus", "4",
+                "--buffer-mb", "16", "--mbs", "2"]
+        assert main(argv + ["--metrics-limit", "3"]) == 0
+        printed = capsys.readouterr().out
+        table = printed.split("links (", 1)[1].split("\n\n", 1)[0]
+        header, rule, *rows = table.splitlines()[1:]
+        assert header.split() == ["link", "busy", "us", "MB", "util"]
+        assert len(rows) == 3
+        busy = [float(row.split()[1]) for row in rows]
+        assert busy == sorted(busy, reverse=True)
+        assert all(row.split()[3].endswith("%") for row in rows)
+        # --metrics-limit 0 lists every link, so the top 3 are a prefix.
+        assert main(argv + ["--metrics-limit", "0"]) == 0
+        full = capsys.readouterr().out.split("links (", 1)[1]
+        shown, total = full.split(",", 1)[0].split(" of ")
+        assert shown == total and int(total) > 3
+        top = full.split("\n\n", 1)[0].splitlines()[3:6]
+        assert [row.split() for row in top] == [row.split() for row in rows]
+
 
 class TestFaultInjection:
     RING8 = "examples/algorithms/ring_allreduce_8.rescclang"

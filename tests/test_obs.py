@@ -1,5 +1,7 @@
 """Tests for the observability layer: span tracer and metrics registry."""
 
+import dataclasses
+
 import pytest
 
 from repro import MB, ResCCLBackend, multi_node
@@ -17,6 +19,7 @@ from repro.obs import (
 )
 from repro.obs.spans import NULL_SPAN
 from repro.runtime.simulator import simulate
+from repro.topology import TIERS
 
 
 class TestSpanTracer:
@@ -308,11 +311,17 @@ class TestRuntimeIntegration:
         with observe() as obs:
             report = simulate(plan)
         names = obs.registry.names()
-        assert "sim_flows_started_total" in names
-        assert "sim_flows_completed_total" in names
-        assert "sim_link_bytes_total" in names
-        assert "sim_completion_time_us" in names
-        assert "net_flows_admitted_total" in names
+        for name in ("sim_flows_started_total", "sim_link_bytes_total",
+                     "sim_link_busy_us", "sim_completion_time_us",
+                     "sim_credit_stalls_total", "sim_wait_us_total",
+                     "net_reallocations_total", "net_rate_changes_total"):
+            assert name in names
+        # Retired: duplicates of a kept series, and the per-event
+        # histograms that grew with the fabric.
+        for name in ("net_flows_admitted_total", "sim_flows_completed_total",
+                     "sim_rate_reallocations_total", "net_edge_flow_depth",
+                     "sim_credit_queue_depth", "sim_wait_us"):
+            assert name not in names
         completion = obs.registry.gauge("sim_completion_time_us").value()
         assert completion == pytest.approx(report.completion_time_us)
         # The simulate() wrapper opened a span with the plan name.
@@ -360,3 +369,111 @@ class TestRuntimeIntegration:
             pytest.approx(stats.injected)
         )
         assert "sim_fault_events_total" in registry.names()
+
+
+def _series_count(registry):
+    """Distinct (name, label-set) series in a registry."""
+    return sum(len(entry["samples"]) for entry in registry.to_json().values())
+
+
+class TestOneSourceTelemetry:
+    """The simulator publishes once per run, from its own counters."""
+
+    def test_armed_report_equals_unarmed(self, plan):
+        unarmed = simulate(plan)
+        with collecting():
+            armed = simulate(plan)
+        assert dataclasses.asdict(armed) == dataclasses.asdict(unarmed)
+
+    def test_armed_faulted_report_equals_unarmed(self, plan):
+        from repro.faults import run_with_faults
+
+        unarmed = run_with_faults(plan, "link-flap", seed=1).report
+        with collecting():
+            armed = run_with_faults(plan, "link-flap", seed=1).report
+        assert armed.fault_stats is not None
+        assert dataclasses.asdict(armed) == dataclasses.asdict(unarmed)
+
+    def test_published_series_equal_their_sources(self, plan):
+        with collecting() as registry:
+            report = simulate(plan)
+        counters = report.counters
+        counter = registry.counter
+        assert counter("sim_flows_started_total").value() == (
+            counters.flows_admitted
+        )
+        assert counter("net_reallocations_total").value() == (
+            counters.reallocations
+        )
+        assert counter("net_rate_changes_total").value() == (
+            counters.rate_updates
+        )
+        assert counter("sim_credit_stalls_total").value() == (
+            counters.credit_stalls
+        )
+        link_bytes = counter("sim_link_bytes_total")
+        assert set(dict(key)["tier"] for key in link_bytes.series) == set(TIERS)
+        assert sum(link_bytes.series.values()) == pytest.approx(
+            sum(ls.bytes_moved for ls in report.link_stats.values()),
+            rel=1e-12,
+        )
+        busy = registry.gauge("sim_link_busy_us")
+        assert sum(busy.series.values()) == pytest.approx(
+            sum(ls.busy_time for ls in report.link_stats.values()),
+            rel=1e-12,
+        )
+        waits = counter("sim_wait_us_total")
+        assert waits.value(kind="data") == pytest.approx(
+            sum(tb.data_wait for tb in report.tb_stats), rel=1e-12
+        )
+        assert waits.value(kind="sync") == pytest.approx(
+            sum(tb.sync_wait for tb in report.tb_stats), rel=1e-12
+        )
+
+    def test_credit_stalls_counted_once_per_blocked_send(self, plan):
+        shallow = dataclasses.replace(
+            plan, config=dataclasses.replace(plan.config, fifo_depth=1)
+        )
+        with collecting() as registry:
+            report = simulate(shallow)
+        assert report.counters.credit_stalls > 0
+        assert registry.counter("sim_credit_stalls_total").value() == (
+            report.counters.credit_stalls
+        )
+        assert f"{report.counters.credit_stalls} credit stall(s)" in (
+            report.counters.summary()
+        )
+
+    def test_fault_series_equal_fault_stats(self, plan):
+        from repro.faults import run_with_faults
+
+        with collecting() as registry:
+            stats = run_with_faults(plan, "link-flap", seed=1).report.fault_stats
+        assert stats.events and stats.capacity_changes
+        events = registry.counter("sim_fault_events_total")
+        for kind, count in stats.events.items():
+            assert events.value(kind=kind) == count
+        derates = registry.counter("net_capacity_derates_total")
+        assert {dict(key)["tier"] for key in derates.series} == set(TIERS)
+        assert sum(derates.series.values()) == sum(
+            stats.capacity_changes.values()
+        )
+
+    def test_series_count_independent_of_fabric_size(self):
+        from repro.algorithms import build_algorithm
+
+        counts = []
+        for nodes in (2, 8):
+            cluster = multi_node(nodes, 8)
+            with collecting() as registry:
+                simulate(ResCCLBackend(max_microbatches=2).plan(
+                    cluster, build_algorithm("ring-allreduce", cluster),
+                    16 * MB,
+                ))
+            for name in registry.names():
+                if name.startswith(("sim_", "net_")):
+                    for key in registry.get(name).series:
+                        assert "link" not in dict(key)
+                        assert "edge" not in dict(key)
+            counts.append(_series_count(registry))
+        assert counts[0] == counts[1]

@@ -320,6 +320,17 @@ class TestWorkerPool:
         assert reply["metrics"] is not None
         assert pool.stats.completed == 1
 
+    def test_reply_snapshot_series_count_independent_of_fabric(self, pool):
+        counts = []
+        for nodes in (1, 2):
+            body = {**FAST, "nodes": nodes}
+            payload = parse_request("simulate", body).to_payload()
+            snapshot = pool.submit(payload).result(timeout=120)["metrics"]
+            counts.append(
+                sum(len(entry["samples"]) for entry in snapshot.values())
+            )
+        assert counts[0] == counts[1]
+
     def test_bad_request_surfaces_as_request_error(self, pool):
         payload = ServiceRequest(op="simulate", source="not a program {",
                                  nodes=1, gpus=8).to_payload()
@@ -553,6 +564,18 @@ class TestDaemonHTTP:
         assert "service_workers_alive 2" in text
         # Worker-side compile metrics were merged into the daemon registry.
         assert "compile_wall_us" in text or "cache" in text
+
+
+    def test_metrics_have_no_per_link_or_per_edge_series(self, client):
+        client.simulate(**FAST)
+        client.simulate(**{**FAST, "nodes": 2})
+        lines = [
+            line for line in client.metrics().splitlines()
+            if line.startswith(("sim_", "net_"))
+        ]
+        assert 'sim_link_bytes_total{tier="nic"}' in "\n".join(lines)
+        for line in lines:
+            assert 'link="' not in line and 'edge="' not in line, line
 
 
 class TestDaemonRobustness:
