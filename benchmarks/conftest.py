@@ -13,7 +13,16 @@ pytest-benchmark records the wall-clock of the full experiment.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# The reference implementations the speedup benchmarks time as their
+# baselines live in ``tests/oracles/``; make the repo root importable.
+_ROOT = str(Path(__file__).resolve().parent.parent)
+if _ROOT not in sys.path:
+    sys.path.insert(0, _ROOT)
 
 
 @pytest.fixture

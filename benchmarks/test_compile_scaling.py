@@ -2,9 +2,9 @@
 
 Times the three hot compile stages — dependency analysis (fused
 ``build_dag``), HPDS scheduling, and state-based TB allocation — with
-the indexed implementations against the original reference
-implementations (``ResCCLCompiler(indexed_schedule=False)``) on growing
-clusters, checking that (a) the two modes produce bit-identical
+the production indexed implementations against the literal reference
+implementations in ``tests/oracles/compile.py`` on growing clusters,
+checking that (a) the two produce bit-identical
 pipelines, TB assignments, and rendered kernels at every scale
 (``compile_fingerprint``), and (b) the aggregate cold-compile speedup on
 the largest cluster clears the 3x acceptance bar.  Writes
@@ -29,6 +29,7 @@ from repro.core import ResCCLCompiler
 from repro.core.compiler import compile_fingerprint
 from repro.synth import TACCLSynthesizer
 from repro.topology import Cluster
+from tests.oracles import compile as oracle
 
 OUT = Path(__file__).resolve().parent.parent / "BENCH_compile.json"
 
@@ -58,10 +59,14 @@ def _cold_compile(program, cluster, indexed):
     """Best-of-N cold compile; returns (best stage times, last result).
 
     ``validate=True`` would time the static validator — shared by both
-    modes and untouched by the indexed rewrite — so it is disabled to
+    paths and untouched by the indexed rewrite — so it is disabled to
     keep the measurement on the three rewritten stages.
     """
-    compiler = ResCCLCompiler(validate=False, indexed_schedule=indexed)
+    if indexed:
+        compile_once = ResCCLCompiler(validate=False).compile
+    else:
+        def compile_once(program, cluster):
+            return oracle.compile_program(program, cluster, validate=False)
     best = {stage: float("inf") for stage in STAGES}
     result = None
     # A collection landing mid-compile skews one mode's wall clock by
@@ -71,7 +76,7 @@ def _cold_compile(program, cluster, indexed):
     gc.disable()
     try:
         for _ in range(REPEATS):
-            result = compiler.compile(program, cluster)
+            result = compile_once(program, cluster)
             for stage in STAGES:
                 best[stage] = min(best[stage], result.phase_times_us[stage])
     finally:

@@ -2,7 +2,8 @@
 
 Times the discrete-event simulator with the incremental dirty-edge rate
 allocator against the brute-force reference allocator
-(``SimConfig.incremental_rates=False``) on growing collectives, checking
+(``BruteForceFlowNetwork`` in ``tests/oracles/rates.py``) on growing
+collectives, checking
 that (a) the two modes complete at the bit-identical simulated instant,
 (b) the incremental solver computes strictly fewer edge shares, and
 (c) the wall-clock speedup on the largest collective clears the 3x
@@ -14,7 +15,6 @@ the repo root for CI diffing.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
 from pathlib import Path
@@ -25,8 +25,9 @@ from repro import MB
 from repro.algorithms import build_algorithm
 from repro.core import ResCCLBackend, ResCCLCompiler
 from repro.core.plancache import PlanCache
-from repro.runtime.simulator import simulate
+from repro.runtime.simulator import Simulator, simulate
 from repro.topology import Cluster
+from tests.oracles.rates import BruteForceFlowNetwork
 
 OUT = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 
@@ -43,22 +44,23 @@ MIN_CACHE_HIT_RATE = 0.9
 SWEEP_POINTS = 12
 
 
-def _best_wall_time(plan, repeats: int = 2):
+def _best_wall_time(plan, run=simulate, repeats: int = 2):
     """Best-of-N wall clock of one simulation (first call also warms)."""
     best = float("inf")
     report = None
     for _ in range(repeats):
         start = time.perf_counter()
-        report = simulate(plan)
+        report = run(plan)
         best = min(best, time.perf_counter() - start)
     return best, report
 
 
+class _ReferenceSimulator(Simulator):
+    network_class = BruteForceFlowNetwork
+
+
 def _reference(plan):
-    return dataclasses.replace(
-        plan,
-        config=dataclasses.replace(plan.config, incremental_rates=False),
-    )
+    return _ReferenceSimulator(plan).run()
 
 
 def _solver_scaling() -> list:
@@ -70,7 +72,7 @@ def _solver_scaling() -> list:
             cluster, program, buffer_mb * MB
         )
         wall_fast, fast = _best_wall_time(plan)
-        wall_ref, ref = _best_wall_time(_reference(plan))
+        wall_ref, ref = _best_wall_time(plan, run=_reference)
         rows.append(
             {
                 "scale": f"{nodes}x{gpus}",

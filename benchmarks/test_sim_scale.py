@@ -3,10 +3,11 @@
 Sweeps mesh-allreduce from 2x8 up to 64x8 (512 GPUs) and records, per
 scale, the wall clock of the optimized simulator (vectorized re-rater +
 earliest-wins lazy invalidation + batched simultaneous-finish re-rates +
-calendar event queue + micro-batch aggregation) against the pre-PR
-discipline (scalar rates, binary heap, expanded bookkeeping, eager
-repost-every-change invalidation).  Writes ``BENCH_sim_scale.json`` at
-the repo root for CI diffing.
+micro-batch aggregation) against the pre-scale-out discipline (scalar
+rates, per-instance bookkeeping, eager repost-every-change
+invalidation), rebuilt from the reference classes in
+``tests/oracles/rates.py``.  Writes ``BENCH_sim_scale.json`` at the repo
+root for CI diffing.
 
 Asserted acceptance shape:
 
@@ -44,8 +45,9 @@ from repro import MB
 from repro.algorithms import build_algorithm
 from repro.core import ResCCLBackend
 from repro.runtime.metrics import SimCounters
-from repro.runtime.simulator import simulate
+from repro.runtime.simulator import Simulator, simulate
 from repro.topology import Cluster
+from tests.oracles.rates import PerInstanceSimulator, ScalarFlowNetwork
 
 OUT = Path(__file__).resolve().parent.parent / "BENCH_sim_scale.json"
 
@@ -67,15 +69,22 @@ MIN_SPEEDUP_AT_16X8 = 3.0
 MAX_SCALING_EXPONENT = 1.35
 MAX_FAST_REL_ERROR = 0.15
 
-#: The pre-PR simulator discipline, emulated in-tree: scalar re-rater,
-#: plain binary heap, fully expanded micro-batch bookkeeping, and eager
-#: repost-every-rate-change event invalidation.
+#: The pre-scale-out simulator discipline: scalar re-rater (network),
+#: per-instance micro-batch bookkeeping (simulator), and eager
+#: repost-every-rate-change event invalidation (config).
 BASELINE = dict(
-    vectorized_rates=False,
-    event_queue="heap",
-    aggregate_microbatches=False,
+    network="ScalarFlowNetwork",
+    simulator="PerInstanceSimulator",
     lazy_invalidation=False,
 )
+
+
+class _BaselineSimulator(PerInstanceSimulator):
+    network_class = ScalarFlowNetwork
+
+
+def _baseline(plan):
+    return _BaselineSimulator(_with_config(plan, lazy_invalidation=False)).run()
 
 
 def _with_config(plan, **overrides):
@@ -93,19 +102,19 @@ def _fingerprint(report):
     return data
 
 
-def _interleaved_best(plans, repeats=2):
-    """Best-of-N wall clock per plan, rounds interleaved across plans.
+def _interleaved_best(runs, repeats=2):
+    """Best-of-N wall clock per run, rounds interleaved across runs.
 
     On a single-core VM a background hiccup during one measurement run
     would skew a sequential A/A/B/B ordering; interleaving A/B/A/B makes
     the best-of representative for both.
     """
-    best = [math.inf] * len(plans)
-    reports = [None] * len(plans)
+    best = [math.inf] * len(runs)
+    reports = [None] * len(runs)
     for _ in range(repeats):
-        for i, plan in enumerate(plans):
+        for i, run in enumerate(runs):
             start = time.perf_counter()
-            reports[i] = simulate(plan)
+            reports[i] = run()
             best[i] = min(best[i], time.perf_counter() - start)
     return best, reports
 
@@ -128,8 +137,10 @@ def _sweep():
         # expensive enough (190 s at 64x8) that repeats would double the
         # sweep for little signal.
         repeats = 2 if time_baseline else 1
-        plans = [plan] + ([_with_config(plan, **BASELINE)] if time_baseline else [])
-        walls, reports = _interleaved_best(plans, repeats=repeats)
+        runs = [lambda: simulate(plan)]
+        if time_baseline:
+            runs.append(lambda: _baseline(plan))
+        walls, reports = _interleaved_best(runs, repeats=repeats)
         new = reports[0]
         c = new.counters
         row = {
@@ -143,7 +154,6 @@ def _sweep():
             "reallocations": c.reallocations,
             "vectorized_passes": c.vectorized_passes,
             "queue_depth_max": c.queue_depth_max,
-            "bucket_occupancy_max": c.bucket_occupancy_max,
             "agg_tasks_cached": c.agg_tasks_cached,
             "completion_time_us": new.completion_time_us,
             "wall_s": walls[0],
@@ -165,11 +175,15 @@ def _sweep():
     return rows
 
 
+class _ScalarSimulator(Simulator):
+    network_class = ScalarFlowNetwork
+
+
 def _fingerprint_identity():
     """Vectorized and scalar re-raters pin the same physical report."""
     plan = _plan_for(4)
-    vec = simulate(_with_config(plan, vectorized_rates=True, vectorize_min_flows=0))
-    scalar = simulate(_with_config(plan, vectorized_rates=False))
+    vec = simulate(plan)
+    scalar = _ScalarSimulator(plan).run()
     return {
         "scale": "4x8",
         "vectorized_equals_scalar": _fingerprint(vec) == _fingerprint(scalar),

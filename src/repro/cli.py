@@ -253,10 +253,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_compile(args: argparse.Namespace) -> int:
     cluster = _cluster_from(args)
     program = _resolve_algorithm(args.algorithm, cluster)
-    compiled = ResCCLCompiler(
-        scheduler=args.scheduler,
-        indexed_schedule=not args.reference_schedule,
-    ).compile(program, cluster)
+    compiled = ResCCLCompiler(scheduler=args.scheduler).compile(
+        program, cluster
+    )
     print(f"compiled {program.name!r} for {cluster}")
     for phase, micros in compiled.phase_times_us.items():
         print(f"  {phase:<11} {micros / 1000.0:9.2f} ms")
@@ -731,10 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile = sub.add_parser("compile", help="compile and inspect")
     p_compile.add_argument("algorithm")
     p_compile.add_argument("--scheduler", default="hpds", choices=["hpds", "rr"])
-    p_compile.add_argument(
-        "--reference-schedule", action="store_true",
-        help="use the reference (unindexed) compile path; outputs are "
-        "bit-identical to the default indexed path, only slower")
     p_compile.add_argument("--kernel", action="store_true",
                            help="print the generated kernel listing")
     p_compile.add_argument("--rank", type=int, default=0)

@@ -43,9 +43,6 @@ class ResCCLBackend:
             ``ExecMode.INTERPRETER`` for the Figure 3 ablation.
         max_microbatches: cap on micro-batch count per plan.
         config: runtime constants override.
-        indexed_schedule: run the compiler's indexed cold-compile path
-            (default); ``False`` selects the reference implementations.
-            Outputs are bit-identical, so plans do not depend on it.
         target_chunk_kb: target transfer-chunk size for micro-batch
             planning; ``None`` keeps the paper's 1 MB (Table 2).
         tb_allowance: cap on the pipelining allowance handed to TB
@@ -62,7 +59,6 @@ class ResCCLBackend:
     mode: ExecMode = ExecMode.KERNEL
     max_microbatches: int = 32
     config: Optional[SimConfig] = None
-    indexed_schedule: bool = True
     target_chunk_kb: Optional[int] = None
     tb_allowance: Optional[int] = None
     use_tuning: bool = True
@@ -70,10 +66,7 @@ class ResCCLBackend:
     name = "ResCCL"
 
     def __post_init__(self) -> None:
-        self._compiler = ResCCLCompiler(
-            scheduler=self.scheduler,
-            indexed_schedule=self.indexed_schedule,
-        )
+        self._compiler = ResCCLCompiler(scheduler=self.scheduler)
 
     def compile(
         self, algorithm: Union[str, AlgoProgram], cluster: Cluster
@@ -121,12 +114,7 @@ class ResCCLBackend:
                 compiled = self.compile(program, cluster)
             else:
                 compiled = get_cache().compile(
-                    ResCCLCompiler(
-                        scheduler=scheduler,
-                        indexed_schedule=self.indexed_schedule,
-                    ),
-                    program,
-                    cluster,
+                    ResCCLCompiler(scheduler=scheduler), program, cluster
                 )
             if chunk_kb is None:
                 n_mb, chunk_bytes = plan_microbatches(
@@ -151,7 +139,6 @@ class ResCCLBackend:
                     compiled.dag,
                     compiled.pipeline,
                     pipelining_allowance=effective_allowance,
-                    indexed=self.indexed_schedule,
                 )
                 return lower_to_programs(
                     assignments, n_mb, nwarps=self.nwarps
@@ -164,7 +151,6 @@ class ResCCLBackend:
                 compiled.cache_key,
                 n_mb,
                 effective_allowance,
-                self.indexed_schedule,
                 self.nwarps,
                 build=lower,
             )

@@ -17,12 +17,11 @@ by stage and entry point, and the ``compile``/``compile_residual``
 spans carry per-stage wall counters — the observability contract of the
 cold-compile path (``docs/performance.md``).
 
-``indexed_schedule`` selects between the near-linearithmic indexed
-implementations of analysis, scheduling, and lowering (default) and the
-original reference implementations kept as the golden comparators.
-Outputs are bit-identical either way — :func:`compile_fingerprint`
-captures everything observable about a compile so tests, benchmarks,
-and CI can assert it.
+Analysis, scheduling and lowering run near-linearithmic indexed
+implementations; the literal references they replaced live in
+``tests/oracles/compile.py``.  :func:`compile_fingerprint` captures
+everything observable about a compile, so tests, benchmarks, golden
+digests and CI can assert that the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -49,19 +48,6 @@ SCHEDULERS: Dict[str, Callable[..., GlobalPipeline]] = {
     "hpds": hpds_schedule,
     "rr": rr_schedule,
 }
-
-
-def _run_scheduler(
-    name: str, dag: DependencyDAG, indexed: bool
-) -> GlobalPipeline:
-    """Dispatch to a scheduler, forwarding the indexed/reference choice.
-
-    Only HPDS has dual implementations; the round-robin ablation
-    baseline has a single one and takes no mode.
-    """
-    if name == "hpds":
-        return hpds_schedule(dag, indexed=indexed)
-    return SCHEDULERS[name](dag)
 
 
 def _observe_stage_wall(stage: str, micros: float, entry: str) -> None:
@@ -115,8 +101,9 @@ def compile_fingerprint(
     TB assignments (per-TB endpoint groups with sides, peers, ordered
     task ids, and windows), and — when ``kernel_ranks`` is given — the
     rendered kernel source per rank.  Two compiles are bit-identical iff
-    their fingerprints compare equal; the indexed-vs-reference golden
-    suite and the compile-scaling benchmark both assert on this.
+    their fingerprints compare equal; the golden digests, the
+    reference-equivalence suite and the compile-scaling benchmark all
+    assert on this.
     """
     fp = {
         "scheduler": result.pipeline.scheduler,
@@ -146,25 +133,14 @@ class ResCCLCompiler:
         scheduler: ``"hpds"`` (default) or ``"rr"`` (the ablation
             baseline of Figure 10(b)).
         validate: run static program validation during Analysis.
-        indexed_schedule: run the indexed near-linearithmic analysis /
-            scheduling / lowering implementations (default).  ``False``
-            selects the original reference implementations — the golden
-            escape hatch; outputs are bit-identical in both modes, so
-            the plan cache deliberately keys on neither.
     """
 
-    def __init__(
-        self,
-        scheduler: str = "hpds",
-        validate: bool = True,
-        indexed_schedule: bool = True,
-    ) -> None:
+    def __init__(self, scheduler: str = "hpds", validate: bool = True) -> None:
         if scheduler not in SCHEDULERS:
             known = ", ".join(sorted(SCHEDULERS))
             raise ValueError(f"unknown scheduler {scheduler!r}; known: {known}")
         self.scheduler = scheduler
         self.validate = validate
-        self.indexed_schedule = indexed_schedule
 
     def compile(
         self,
@@ -181,13 +157,8 @@ class ResCCLCompiler:
         are recorded as 0.0.
         """
         times: Dict[str, float] = {}
-        indexed = self.indexed_schedule
 
-        with obs_span(
-            "compile",
-            scheduler=self.scheduler,
-            indexed_schedule=str(indexed).lower(),
-        ) as compile_sp:
+        with obs_span("compile", scheduler=self.scheduler) as compile_sp:
             if frontend is not None:
                 program, dag = frontend
                 times["parsing"] = 0.0
@@ -208,14 +179,14 @@ class ResCCLCompiler:
                 with obs_span("analysis") as sp:
                     if self.validate:
                         validate_program(program, cluster).raise_if_failed()
-                    dag = build_dag(program.transfers, cluster, fused=indexed)
+                    dag = build_dag(program.transfers, cluster)
                     sp.set(dag_nodes=len(dag), dag_edges=dag.edge_count)
                 times["analysis"] = (time.perf_counter() - start) * 1e6
 
             # Phase 3: Scheduling (DAG -> global task pipeline).
             start = time.perf_counter()
             with obs_span("scheduling") as sp:
-                pipeline = _run_scheduler(self.scheduler, dag, indexed)
+                pipeline = SCHEDULERS[self.scheduler](dag)
                 pipeline.check_all(dag)
                 sp.set(
                     tasks_scheduled=pipeline.task_count,
@@ -226,7 +197,7 @@ class ResCCLCompiler:
             # Phase 4: Lowering (pipeline -> TB assignments).
             start = time.perf_counter()
             with obs_span("lowering"):
-                assignments = allocate_tbs(dag, pipeline, indexed=indexed)
+                assignments = allocate_tbs(dag, pipeline)
             times["lowering"] = (time.perf_counter() - start) * 1e6
 
             for stage, micros in times.items():
@@ -251,7 +222,6 @@ def compile_residual(
     dag: DependencyDAG,
     scheduler: str = "hpds",
     pipelining_allowance: int = 1,
-    indexed: bool = True,
 ) -> Tuple[GlobalPipeline, List[TBAssignment]]:
     """Scheduling + lowering for an already-built (residual) DAG.
 
@@ -261,10 +231,6 @@ def compile_residual(
     directly against the degraded cluster (whose link annotations the DAG
     already carries).  Phases 3 and 4 are identical to a full compile:
     HPDS (or round-robin) over the DAG, then state-based TB allocation.
-    ``indexed`` selects the indexed or reference implementations exactly
-    as :class:`ResCCLCompiler` does — replans on a degraded cluster are
-    cold compiles the plan cache never sees, so they ride the indexed
-    path by default.
 
     Returns ``(pipeline, assignments)``; kernel generation stays with the
     caller, which knows the resume plan's micro-batch count.
@@ -272,21 +238,14 @@ def compile_residual(
     if scheduler not in SCHEDULERS:
         known = ", ".join(sorted(SCHEDULERS))
         raise ValueError(f"unknown scheduler {scheduler!r}; known: {known}")
-    with obs_span(
-        "compile_residual",
-        scheduler=scheduler,
-        indexed_schedule=str(indexed).lower(),
-    ) as sp:
+    with obs_span("compile_residual", scheduler=scheduler) as sp:
         start = time.perf_counter()
-        pipeline = _run_scheduler(scheduler, dag, indexed)
+        pipeline = SCHEDULERS[scheduler](dag)
         pipeline.check_all(dag)
         scheduling_us = (time.perf_counter() - start) * 1e6
         start = time.perf_counter()
         assignments = allocate_tbs(
-            dag,
-            pipeline,
-            pipelining_allowance=pipelining_allowance,
-            indexed=indexed,
+            dag, pipeline, pipelining_allowance=pipelining_allowance
         )
         lowering_us = (time.perf_counter() - start) * 1e6
         _observe_stage_wall("scheduling", scheduling_us, entry="residual")

@@ -10,31 +10,27 @@ chunks — are assigned higher priority"), which balances load across
 chunks and keeps inter- and intra-machine task chains in separate
 wavefronts — the bubble-minimization property of section 4.3.
 
-Two implementations live here, selected by ``hpds_schedule(dag,
-indexed=...)`` and producing **bit-identical** pipelines:
+Algorithm 1 read literally is O(sub-pipelines x chunks x tasks): a full
+chunk scan per pick, a full remaining-task scan per chunk visit, and a
+per-link ready-set scan per candidate.  The scheduler here reaches
+near-linearithmic cost by replacing every scan with an
+incrementally-maintained index: a lazy-deletion heap over chunks keyed
+by :func:`_priority_key`, per-chunk ready heaps drained in ascending
+task id, per-link min-heaps keyed by ``(step, task_id)`` for
+communication-dependency arbitration, and per-chunk lazy max-heaps that
+maintain critical-path urgency without re-maxing the ready set.
 
-* the **reference** (``indexed=False``) follows Algorithm 1 literally —
-  a full chunk scan per pick, a full remaining-task scan per chunk
-  visit, and a per-link ready-set scan per candidate.  It is
-  O(sub-pipelines x chunks x tasks) and kept as the golden comparator
-  (``ResCCLCompiler(indexed_schedule=False)``);
-* the **indexed** scheduler (default) reaches near-linearithmic cost by
-  replacing every scan with an incrementally-maintained index: a
-  lazy-deletion heap over chunks keyed by :func:`_priority_key`,
-  per-chunk ready heaps drained in ascending task id, per-link min-heaps
-  keyed by ``(step, task_id)`` for communication-dependency arbitration,
-  and per-chunk lazy max-heaps that maintain critical-path urgency
-  without re-maxing the ready set.
-
-``tests/test_hpds_indexed.py`` proves equivalence over the DSL corpus,
-the built-in algorithms, synthesized programs, and a degraded-cluster
-replan; ``benchmarks/test_compile_scaling.py`` measures the speedup.
+The literal scan-based version lives in ``tests/oracles/compile.py``.
+``tests/test_hpds_indexed.py`` proves the two produce bit-identical
+pipelines over the DSL corpus, the built-in algorithms, synthesized
+programs, and a degraded-cluster replan;
+``benchmarks/test_compile_scaling.py`` measures the speedup.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..ir.dag import DependencyDAG
 from ..obs.spans import current_span
@@ -54,168 +50,17 @@ def _priority_key(served: int, urgency: int, chunk: int) -> Tuple[int, int, int]
        short ones.
 
     Ties break on ascending chunk id, making the schedule deterministic.
-    This is the single definition of chunk priority: the reference
-    :class:`_ChunkQueue` and the indexed scheduler's chunk heap both key
-    on it.
+    This is the single definition of chunk priority: the scheduler's
+    chunk heap and the scan-based reference in ``tests/oracles/`` both
+    key on it.
     """
     return (served, -urgency, chunk)
 
 
-class _ChunkQueue:
-    """Hierarchical priority queue over chunks (reference implementation).
+def _schedule(dag: DependencyDAG) -> GlobalPipeline:
+    """Index-based HPDS: every scan of Algorithm 1 becomes a heap operation.
 
-    Orders chunks by :func:`_priority_key`; the pick is a full scan,
-    which is what the indexed scheduler's lazy-deletion heap replaces.
-    """
-
-    def __init__(self, chunks: List[int]) -> None:
-        self._served: Dict[int, int] = {c: 0 for c in chunks}
-        self._urgency: Dict[int, int] = {c: 0 for c in chunks}
-        self._chunks = sorted(chunks)
-
-    def decrease(self, chunk: int) -> None:
-        self._served[chunk] += 1
-
-    def set_urgency(self, chunk: int, value: int) -> None:
-        self._urgency[chunk] = value
-
-    def highest_with_flag(self, flags: Dict[int, bool]) -> int:
-        """Highest-priority chunk whose flag is still true, or -1."""
-        best = -1
-        best_key = None
-        for chunk in self._chunks:
-            if not flags.get(chunk, False):
-                continue
-            key = _priority_key(
-                self._served[chunk], self._urgency[chunk], chunk
-            )
-            if best_key is None or key < best_key:
-                best_key = key
-                best = chunk
-        return best
-
-
-def _heights(dag: DependencyDAG, order: List[int]) -> Dict[int, int]:
-    """Critical-path height of each task: length of the longest
-    dependency chain it heads.  Drives the urgency level of the priority
-    hierarchy."""
-    height: Dict[int, int] = {}
-    for tid in reversed(order):
-        height[tid] = 1 + max((height[s] for s in dag.succs[tid]), default=0)
-    return height
-
-
-def _schedule_reference(dag: DependencyDAG) -> GlobalPipeline:
-    """Algorithm 1, literally — the golden reference implementation."""
-    order = dag.topological_order()  # raises CyclicDependencyError
-
-    remaining: Set[int] = {t.task_id for t in dag.tasks}
-    unscheduled_preds: Dict[int, int] = {
-        t.task_id: len(dag.preds[t.task_id]) for t in dag.tasks
-    }
-    # Algorithm 1 removes scheduled nodes from G immediately (line 22), so
-    # a task becomes data-ready as soon as its producers are scheduled —
-    # possibly within the *current* sub-pipeline, which is how one
-    # sub-pipeline packs multi-stage chains (Figure 5(c)).
-    ready: Set[int] = {tid for tid, n in unscheduled_preds.items() if n == 0}
-
-    height = _heights(dag, order)
-
-    chunks = [c for c, members in dag.chunk_tasks.items() if members]
-    queue = _ChunkQueue(chunks)
-    chunk_remaining: Dict[int, List[int]] = {
-        c: list(dag.chunk_tasks[c]) for c in chunks
-    }
-    ready_by_chunk: Dict[int, Set[int]] = {c: set() for c in chunks}
-    # Communication-dependency arbitration: when several ready tasks of
-    # different chunks contend for one link, the algorithm's step order
-    # decides — a later-step task must not claim the link first, or the
-    # earlier-step chain (and everything behind it) stalls.
-    ready_by_link: Dict[str, Set[int]] = {}
-    for tid in ready:
-        ready_by_chunk[dag.task(tid).chunk].add(tid)
-        ready_by_link.setdefault(dag.task(tid).link, set()).add(tid)
-
-    def link_has_earlier_ready(task_id: int) -> bool:
-        task = dag.task(task_id)
-        key = (task.step, task_id)
-        return any(
-            (dag.task(other).step, other) < key
-            for other in ready_by_link.get(task.link, ())
-            if other != task_id
-        )
-
-    def refresh_urgency(chunk: int) -> None:
-        queue.set_urgency(
-            chunk,
-            max((height[t] for t in ready_by_chunk[chunk]), default=0),
-        )
-
-    for chunk in chunks:
-        refresh_urgency(chunk)
-
-    sub_pipelines: List[SubPipeline] = []
-    while remaining:
-        current = SubPipeline(index=len(sub_pipelines))
-        used_links: Set[str] = set()
-        flags: Dict[int, bool] = {
-            c: bool(chunk_remaining[c]) for c in chunks
-        }
-        while any(flags.values()):
-            chunk = queue.highest_with_flag(flags)
-            if chunk < 0:
-                break
-            node_list: List[int] = []
-            for task_id in chunk_remaining[chunk]:
-                if task_id not in ready:
-                    continue
-                link = dag.task(task_id).link
-                if link in used_links:
-                    continue
-                if link_has_earlier_ready(task_id):
-                    continue  # the link belongs to an earlier-step chain
-                node_list.append(task_id)
-                used_links.add(link)
-            if not node_list:
-                flags[chunk] = False
-                continue
-            current.task_ids.extend(node_list)
-            picked = set(node_list)
-            chunk_remaining[chunk] = [
-                t for t in chunk_remaining[chunk] if t not in picked
-            ]
-            remaining.difference_update(picked)
-            touched = {chunk}
-            for task_id in node_list:
-                ready.discard(task_id)
-                ready_by_chunk[chunk].discard(task_id)
-                ready_by_link[dag.task(task_id).link].discard(task_id)
-                for succ in dag.succs[task_id]:
-                    unscheduled_preds[succ] -= 1
-                    if unscheduled_preds[succ] == 0:
-                        ready.add(succ)
-                        succ_task = dag.task(succ)
-                        ready_by_chunk[succ_task.chunk].add(succ)
-                        ready_by_link.setdefault(succ_task.link, set()).add(succ)
-                        touched.add(succ_task.chunk)
-                        # A chunk that regained eligible work is revisited.
-                        flags[succ_task.chunk] = True
-            for touched_chunk in touched:
-                refresh_urgency(touched_chunk)
-            queue.decrease(chunk)
-        if not current.task_ids:
-            raise RuntimeError(
-                "HPDS made no progress — the ready set is empty although "
-                f"{len(remaining)} task(s) remain (inconsistent DAG state)"
-            )
-        sub_pipelines.append(current)
-    return GlobalPipeline(sub_pipelines=sub_pipelines, scheduler="hpds")
-
-
-def _schedule_indexed(dag: DependencyDAG) -> GlobalPipeline:
-    """Index-based HPDS: every reference scan becomes a heap operation.
-
-    Replays the reference pick sequence exactly:
+    Replays the literal pick sequence exactly:
 
     * the chunk pick pops a **lazy-deletion heap** of
       ``_priority_key(served, urgency, chunk)`` entries — an entry is
@@ -247,8 +92,9 @@ def _schedule_indexed(dag: DependencyDAG) -> GlobalPipeline:
     heappush = heapq.heappush
     heappop = heapq.heappop
 
-    # Critical-path heights (what _heights computes for the reference),
-    # in a dense array and without per-task generator overhead.
+    # Critical-path height of each task (the length of the longest
+    # dependency chain it heads) drives the urgency level, kept in a
+    # dense array.
     height: List[int] = [0] * n
     for tid in reversed(order):
         tallest = 0
@@ -405,20 +251,13 @@ def _schedule_indexed(dag: DependencyDAG) -> GlobalPipeline:
     return GlobalPipeline(sub_pipelines=sub_pipelines, scheduler="hpds")
 
 
-def hpds_schedule(
-    dag: DependencyDAG, *, indexed: Optional[bool] = True
-) -> GlobalPipeline:
+def hpds_schedule(dag: DependencyDAG) -> GlobalPipeline:
     """Run Algorithm 1 over a dependency DAG.
 
     Returns the global pipeline ``Pr``; raises if the DAG is cyclic (the
-    outer loop would otherwise never terminate).  ``indexed`` selects the
-    near-linearithmic index-based scheduler (default) or the literal
-    reference implementation — their outputs are bit-identical.
+    outer loop would otherwise never terminate).
     """
-    if indexed:
-        pipeline = _schedule_indexed(dag)
-    else:
-        pipeline = _schedule_reference(dag)
+    pipeline = _schedule(dag)
     current_span().set(
         hpds_tasks=len(dag),
         hpds_sub_pipelines=len(pipeline.sub_pipelines),

@@ -145,13 +145,7 @@ class PlanCache:
     def compile_key(
         self, source: str, cluster, scheduler: str, validate: bool
     ) -> str:
-        """Content-hash key for a full compile.
-
-        ``indexed_schedule`` is deliberately absent: the indexed and
-        reference compile paths produce bit-identical results (the
-        golden-equivalence suite enforces it), so entries are shared
-        across modes rather than compiled twice.
-        """
+        """Content-hash key for a full compile."""
         return self._digest(
             f"v{CACHE_FORMAT_VERSION}",
             "compile",
@@ -222,7 +216,7 @@ class PlanCache:
         tier memoizes ``build()`` under ``(cache_key, *knobs)``, where
         ``cache_key`` is the :class:`CompileResult`'s content hash and
         ``knobs`` are the plan-shaping inputs (micro-batch count,
-        pipelining allowance, indexed mode, warp count).  Results built
+        pipelining allowance, warp count).  Results built
         outside the cache carry an empty ``cache_key`` and bypass the
         tier rather than alias each other.
         """

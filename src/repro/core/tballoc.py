@@ -160,33 +160,7 @@ def build_endpoint_groups(
     return groups
 
 
-def _merge_rank_reference(
-    groups: List[EndpointGroup],
-    rank: int,
-    pipelining_allowance: int,
-) -> Tuple[List[TBAssignment], int, int]:
-    """Best-fit merge by linear scan over open TBs — the golden reference."""
-    merges_accepted = 0
-    merges_rejected = 0
-    open_tbs: List[TBAssignment] = []
-    for group in groups:  # already sorted by window start
-        best = None
-        for tb in open_tbs:
-            if tb.window[1] + pipelining_allowance < group.window[0]:
-                if best is None or tb.window[1] > best.window[1]:
-                    best = tb
-        if best is None:
-            if open_tbs:
-                merges_rejected += 1
-            best = TBAssignment(rank=rank)
-            open_tbs.append(best)
-        else:
-            merges_accepted += 1
-        best.groups.append(group)
-    return open_tbs, merges_accepted, merges_rejected
-
-
-def _merge_rank_indexed(
+def _merge_rank(
     groups: List[EndpointGroup],
     rank: int,
     pipelining_allowance: int,
@@ -194,13 +168,13 @@ def _merge_rank_indexed(
     """Best-fit merge through a sorted-by-window-end index.
 
     Open TBs live in a list kept sorted by ``(window_end, -creation)``.
-    The reference picks the TB with the *largest* end strictly below the
+    Best fit picks the TB with the *largest* end strictly below the
     window start (minus the allowance), breaking ties toward the
     earliest-created TB — which is exactly the rightmost index entry
     below the threshold, because equal ends sort by descending creation
     order.  Each endpoint costs one bisect plus one ordered reinsertion
-    instead of a scan over every open TB, and the assignment is
-    identical to the reference by construction.
+    instead of a scan over every open TB; the assignment is identical to
+    the linear-scan reference in ``tests/oracles/`` by construction.
     """
     merges_accepted = 0
     merges_rejected = 0
@@ -230,8 +204,6 @@ def allocate_tbs(
     dag: DependencyDAG,
     pipeline: GlobalPipeline,
     pipelining_allowance: int = 0,
-    *,
-    indexed: bool = True,
 ) -> List[TBAssignment]:
     """State-based allocation: merge serially-active endpoints per rank.
 
@@ -246,12 +218,7 @@ def allocate_tbs(
     slot, so merging across a smaller gap would serialize work that
     actually overlaps.  Backends pass a value derived from the
     micro-batch count.
-
-    ``indexed`` selects the sorted-by-window-end merge index (default)
-    or the reference linear scan over open TBs; both yield the same
-    assignments (``tests/test_tballoc.py``).
     """
-    merge = _merge_rank_indexed if indexed else _merge_rank_reference
     with obs_span("tballoc") as sp:
         by_rank: Dict[int, List[EndpointGroup]] = defaultdict(list)
         endpoint_count = 0
@@ -263,7 +230,7 @@ def allocate_tbs(
         merges_rejected = 0
         assignments: List[TBAssignment] = []
         for rank in sorted(by_rank):
-            open_tbs, accepted, rejected = merge(
+            open_tbs, accepted, rejected = _merge_rank(
                 by_rank[rank], rank, pipelining_allowance
             )
             merges_accepted += accepted

@@ -133,7 +133,6 @@ def build_resume_plan(
     dead_edge_factor: float = 0.05,
     scheduler: str = "hpds",
     nwarps: int = 16,
-    indexed_schedule: bool = True,
 ) -> ResumePlan:
     """Compile the checkpoint's residual demand for the degraded fabric.
 
@@ -146,9 +145,6 @@ def build_resume_plan(
             the resume cluster for completeness.
         scheduler: ``"hpds"`` (default) or ``"rr"``.
         nwarps: warps per generated resume TB.
-        indexed_schedule: use the compiler's indexed cold-compile path
-            for the residual compile (default); the reference path gives
-            bit-identical resume plans.
 
     Raises:
         ReplanInfeasible: the surviving topology cannot deliver some
@@ -262,12 +258,9 @@ def build_resume_plan(
         )
         residual_program.transfers.extend(transfers)
 
-        dag = build_dag(transfers, degraded, fused=indexed_schedule)
+        dag = build_dag(transfers, degraded)
         _pipeline, assignments = compile_residual(
-            dag,
-            scheduler=scheduler,
-            pipelining_allowance=1,
-            indexed=indexed_schedule,
+            dag, scheduler=scheduler, pipelining_allowance=1
         )
         tb_programs = lower_to_programs(assignments, 1, nwarps=nwarps)
         resume_exec = ExecutionPlan(

@@ -10,17 +10,16 @@ is not an edge (it does not force an order, it forbids concurrency) and is
 therefore kept as per-link groupings for the scheduler.
 
 The analysis is on the cold-compile critical path (see
-``docs/performance.md``), so :func:`build_dag` defaults to a fused
-single-pass construction over pre-sorted step buckets; the original
-two-level grouping is preserved behind ``fused=False`` as the golden
-reference.  Both emit the exact same ``add_edge`` sequence, so the DAGs
-are indistinguishable — including set iteration order downstream.
+``docs/performance.md``), so :func:`build_dag` runs a fused single-pass
+construction over pre-sorted step buckets.  It emits the exact
+``add_edge`` sequence of the literal two-level grouping in
+``tests/oracles/compile.py``, so the DAGs are indistinguishable —
+including set iteration order downstream.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -36,14 +35,6 @@ class CyclicDependencyError(ValueError):
     A cyclic algorithm would deadlock on real hardware (section 4.1 notes
     the absence of cycles is what makes the analysis a DAG).
     """
-
-
-@dataclass
-class _SlotState:
-    """Hazard-tracking state for one (rank, chunk) buffer slot."""
-
-    last_writers: List[int] = field(default_factory=list)
-    readers_since_write: List[int] = field(default_factory=list)
 
 
 class DependencyDAG:
@@ -174,53 +165,7 @@ class DependencyDAG:
         return graph
 
 
-def _slot_accesses(
-    task: TransmissionTask,
-) -> List[Tuple[Tuple[int, int], bool]]:
-    """Buffer slots a task touches: ((rank, chunk), is_write) pairs.
-
-    The source rank reads its copy of the chunk.  A ``recv`` destination
-    overwrites its slot; an ``rrc`` destination reads and writes it (the
-    write subsumes the read for hazard purposes).
-    """
-    reads_src = ((task.src, task.chunk), False)
-    writes_dst = ((task.dst, task.chunk), True)
-    return [reads_src, writes_dst]
-
-
-def _hazard_edges_reference(
-    dag: DependencyDAG, tasks: Sequence[TransmissionTask]
-) -> None:
-    """Two-level grouping (slot, then step dict) — the golden reference."""
-    per_slot: Dict[Tuple[int, int], Dict[int, List[Tuple[int, bool]]]] = (
-        defaultdict(lambda: defaultdict(list))
-    )
-    for task in tasks:
-        for slot, is_write in _slot_accesses(task):
-            per_slot[slot][task.step].append((task.task_id, is_write))
-
-    for slot, by_step in per_slot.items():
-        state = _SlotState()
-        for step in sorted(by_step):
-            group = by_step[step]
-            writes = [tid for tid, w in group if w]
-            reads = [tid for tid, w in group if not w]
-            for tid in writes:
-                for producer in state.last_writers:
-                    dag.add_edge(producer, tid)  # write-after-write
-                for reader in state.readers_since_write:
-                    dag.add_edge(reader, tid)  # write-after-read
-            for tid in reads:
-                for producer in state.last_writers:
-                    dag.add_edge(producer, tid)  # read-after-write
-            if writes:
-                state.last_writers = writes
-                state.readers_since_write = list(reads)
-            else:
-                state.readers_since_write.extend(reads)
-
-
-def _hazard_edges_fused(
+def _hazard_edges(
     dag: DependencyDAG, tasks: Sequence[TransmissionTask]
 ) -> None:
     """Single-pass hazard analysis over flat, pre-sorted step buckets.
@@ -231,7 +176,7 @@ def _hazard_edges_fused(
     most of the time; the hazard sweep then walks equal-step runs in
     place.  The ``add_edge`` sequence — slots in first-touch order, steps
     ascending, writes before reads, accesses in task order within a step
-    — matches :func:`_hazard_edges_reference` exactly.
+    — matches the two-level reference in ``tests/oracles/`` exactly.
     """
     per_slot: Dict[Tuple[int, int], List[Tuple[int, int, bool]]] = {}
     unsorted_slots = set()
@@ -311,19 +256,12 @@ def _hazard_edges_fused(
 def build_dag(
     transfers: Sequence[Transfer],
     cluster: Cluster,
-    *,
-    fused: bool = True,
 ) -> DependencyDAG:
     """Construct the dependency DAG for an algorithm on a cluster.
 
     Tasks get dense ids in input order.  Data-dependency edges follow the
     hazard rules per buffer slot, ordered by the DSL ``step`` value;
     accesses sharing a step are considered concurrent and get no edge.
-
-    ``fused=True`` (default) runs the single-pass hazard analysis;
-    ``fused=False`` runs the original two-level grouping kept as the
-    golden reference.  The two produce identical DAGs — same edges,
-    added in the same order (``tests/test_ir_dag.py``).
     """
     # Collectives reuse a small set of (src, dst) pairs across thousands
     # of transfers; resolving each pair's link name and locality once
@@ -347,10 +285,7 @@ def build_dag(
             )
         )
     dag = DependencyDAG(tasks)
-    if fused:
-        _hazard_edges_fused(dag, tasks)
-    else:
-        _hazard_edges_reference(dag, tasks)
+    _hazard_edges(dag, tasks)
     return dag
 
 

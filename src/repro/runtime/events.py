@@ -1,26 +1,15 @@
-"""Event queues for the discrete-event simulator.
+"""The discrete-event simulator's event queue.
 
-Two interchangeable backends behind one interface, both popping events
-in exactly the same total order — ascending ``(time, seq)``, with ``seq``
-a unique monotone sequence number — so the simulator's event stream (and
-therefore every report) is bit-identical regardless of backend:
+A single binary heap pops events in ascending ``(time, seq)`` order,
+with ``seq`` a unique monotone sequence number, so the simulator's event
+stream (and therefore every report) is deterministic.
 
-* :class:`HeapEventQueue` — the classic single binary heap.  Optimal for
-  small runs; every push/pop pays ``O(log n)`` on the whole queue.
-* :class:`BucketEventQueue` — a calendar queue: pending events live in
-  fixed-width time buckets (a sparse dict keyed by ``floor(time/width)``
-  plus a small heap of non-empty bucket keys).  Posting into a future
-  bucket is an O(1) list append; a bucket is sorted once (C timsort)
-  when the clock reaches it.  Posts that land in the *active* bucket go
-  to a small "near" heap consulted alongside the sorted run, so
-  intra-bucket arrivals cannot be reordered.  Million-event runs stop
-  paying a 20-level heap sift per ETA repost.
-
-Both backends support **lazy invalidation**: :meth:`~EventQueue.cancel`
+The queue supports **lazy invalidation**: :meth:`EventQueue.cancel`
 marks an entry dead in place, and dead entries are skipped (and counted)
-during ``pop`` without dispatching.  The simulator uses this to retire
-superseded flow-ETA events the moment a re-rate posts a fresh one,
-instead of paying a full dispatch + version check per stale event.
+during ``pop`` and ``peek`` without dispatching.  The simulator uses this
+to retire a superseded flow-ETA event the moment a re-rate posts a fresh
+one, instead of paying a full dispatch and version check per stale
+event.
 
 Entries are small mutable lists ``[time, seq, kind, payload, alive]``.
 Because ``seq`` is unique, ordering comparisons never reach ``kind`` —
@@ -32,62 +21,23 @@ from __future__ import annotations
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import List, Optional
 
-# Entry field indices.
-_TIME = 0
-_SEQ = 1
+# Entry field index of the liveness flag.
 _ALIVE = 4
-
-#: ``event_queue="auto"`` selects the bucket backend at or above this
-#: many plan invocations (a proxy for expected event volume).  The
-#: binary heap's C-level sift beats the bucket queue's Python-level
-#: bookkeeping until queues get very deep, so the bar is high.
-AUTO_BUCKET_MIN_INVOCATIONS = 262144
 
 
 class EventQueue:
-    """Common interface; concrete backends override the four methods.
+    """Binary heap of entry lists with in-place cancellation.
 
-    The queue owns two occupancy gauges surfaced through
-    :class:`~repro.runtime.metrics.SimCounters`:
-
-    * ``depth_max`` — high-water mark of pending entries (dead included);
-    * ``bucket_occupancy_max`` — largest bucket activated (bucket
-      backend only; 0 for the heap backend);
-    * ``refills`` — bucket activations (bucket backend only).
+    Counters surfaced through :class:`~repro.runtime.metrics.SimCounters`:
+    ``depth_max`` is the high-water mark of pending entries (dead ones
+    included) and ``cancelled_skipped`` counts dead entries discarded.
     """
 
     def __init__(self) -> None:
+        self._heap: List[list] = []
         self.depth = 0
         self.depth_max = 0
-        self.bucket_occupancy_max = 0
-        self.refills = 0
         self.cancelled_skipped = 0
-
-    def post(self, time: float, seq: int, kind: str, payload: object) -> list:
-        raise NotImplementedError
-
-    def cancel(self, entry: list) -> None:
-        """Mark a pending entry dead; it will be skipped at pop time."""
-        entry[_ALIVE] = False
-
-    def pop(self) -> Optional[list]:
-        raise NotImplementedError
-
-    def peek(self) -> Optional[list]:
-        """Next live entry without consuming it (dead entries are
-        discarded and counted, exactly as :meth:`pop` would)."""
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        return self.depth
-
-
-class HeapEventQueue(EventQueue):
-    """Single binary heap of entry lists (the pre-bucket discipline)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._heap: List[list] = []
 
     def post(self, time: float, seq: int, kind: str, payload: object) -> list:
         entry = [time, seq, kind, payload, True]
@@ -97,6 +47,10 @@ class HeapEventQueue(EventQueue):
         if depth > self.depth_max:
             self.depth_max = depth
         return entry
+
+    def cancel(self, entry: list) -> None:
+        """Mark a pending entry dead; it will be skipped at pop time."""
+        entry[_ALIVE] = False
 
     def pop(self) -> Optional[list]:
         heap = self._heap
@@ -109,6 +63,8 @@ class HeapEventQueue(EventQueue):
         return None
 
     def peek(self) -> Optional[list]:
+        """Next live entry without consuming it (dead entries are
+        discarded and counted, exactly as :meth:`pop` would)."""
         heap = self._heap
         while heap:
             entry = heap[0]
@@ -119,159 +75,8 @@ class HeapEventQueue(EventQueue):
             self.cancelled_skipped += 1
         return None
 
-
-class BucketEventQueue(EventQueue):
-    """Calendar queue: sparse fixed-width time buckets, sorted on demand.
-
-    Invariant: every pending entry lives in exactly one of
-
-    * ``_run`` — the active bucket, sorted ascending, consumed via
-      ``_run_pos``;
-    * ``_near`` — a heap of entries that arrived for the active (or an
-      already-passed) bucket after it was activated;
-    * ``_buckets[key]`` — an unsorted list for a future bucket ``key``.
-
-    Pop order is globally ascending ``(time, seq)``: future buckets are
-    activated in key order (via a lazily deduplicated key heap), each is
-    sorted once on activation, and the near heap is merged entry-wise
-    with the sorted run.  Events are never posted into the past relative
-    to the simulation clock, but the near heap would absorb such posts
-    correctly anyway.
-    """
-
-    def __init__(self, width_us: float = 64.0) -> None:
-        super().__init__()
-        if width_us <= 0:
-            raise ValueError(f"bucket width must be positive, got {width_us}")
-        self._width = width_us
-        # Bucket keys come from a multiply (cheaper than a divide on the
-        # post hot path); all that matters is that the same monotone
-        # time->key map is used consistently.
-        self._inv_width = 1.0 / width_us
-        self._buckets = {}
-        # A future key is on this heap iff its bucket exists (a bucket is
-        # created with its first entry and consumed whole on activation),
-        # so no presence set is needed to dedup.
-        self._key_heap: List[int] = []
-        self._run: List[list] = []
-        self._run_pos = 0
-        # All keys <= _active_key route to the near heap.
-        self._active_key = -1
-        self._near: List[list] = []
-
-    def post(self, time: float, seq: int, kind: str, payload: object) -> list:
-        entry = [time, seq, kind, payload, True]
-        key = int(time * self._inv_width)
-        if key <= self._active_key:
-            _heappush(self._near, entry)
-        else:
-            buckets = self._buckets
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [entry]
-                _heappush(self._key_heap, key)
-            else:
-                bucket.append(entry)
-        depth = self.depth + 1
-        self.depth = depth
-        if depth > self.depth_max:
-            self.depth_max = depth
-        return entry
-
-    def _activate_next(self) -> bool:
-        """Sort the next non-empty future bucket into the run."""
-        while self._key_heap:
-            key = _heappop(self._key_heap)
-            bucket = self._buckets.pop(key, None)
-            if not bucket:  # pragma: no cover - defensive
-                continue
-            bucket.sort()
-            self._run = bucket
-            self._run_pos = 0
-            self._active_key = key
-            self.refills += 1
-            if len(bucket) > self.bucket_occupancy_max:
-                self.bucket_occupancy_max = len(bucket)
-            return True
-        return False
-
-    def pop(self) -> Optional[list]:
-        while True:
-            run, pos, near = self._run, self._run_pos, self._near
-            have_run = pos < len(run)
-            if have_run and (not near or run[pos] <= near[0]):
-                entry = run[pos]
-                self._run_pos = pos + 1
-            elif near:
-                entry = _heappop(near)
-            elif have_run:  # pragma: no cover - unreachable (branch 1 wins)
-                entry = run[pos]
-                self._run_pos = pos + 1
-            else:
-                if not self._activate_next():
-                    return None
-                continue
-            self.depth -= 1
-            if entry[_ALIVE]:
-                return entry
-            self.cancelled_skipped += 1
-
-    def peek(self) -> Optional[list]:
-        while True:
-            run, near = self._run, self._near
-            # Discard dead entries at the run front / near top so the
-            # returned entry is the one pop() would deliver.
-            pos = self._run_pos
-            nrun = len(run)
-            while pos < nrun and not run[pos][_ALIVE]:
-                pos += 1
-                self.depth -= 1
-                self.cancelled_skipped += 1
-            self._run_pos = pos
-            while near and not near[0][_ALIVE]:
-                _heappop(near)
-                self.depth -= 1
-                self.cancelled_skipped += 1
-            have_run = pos < nrun
-            if have_run and (not near or run[pos] <= near[0]):
-                return run[pos]
-            if near:
-                return near[0]
-            if not self._activate_next():
-                return None
+    def __len__(self) -> int:
+        return self.depth
 
 
-def make_event_queue(
-    backend: str, total_invocations: int, width_us: float = 64.0
-) -> EventQueue:
-    """Build the queue selected by ``SimConfig.event_queue``.
-
-    ``auto`` picks the bucket backend for plans large enough that event
-    volume dominates (``total_invocations >=``
-    :data:`AUTO_BUCKET_MIN_INVOCATIONS`) and the plain heap below that,
-    where the heap's lower constant factors win.  The choice never
-    affects results — only wall time.
-    """
-    if backend == "auto":
-        backend = (
-            "bucket"
-            if total_invocations >= AUTO_BUCKET_MIN_INVOCATIONS
-            else "heap"
-        )
-    if backend == "heap":
-        return HeapEventQueue()
-    if backend == "bucket":
-        return BucketEventQueue(width_us)
-    raise ValueError(
-        f"unknown event queue backend {backend!r} "
-        "(expected 'auto', 'heap', or 'bucket')"
-    )
-
-
-__all__ = [
-    "AUTO_BUCKET_MIN_INVOCATIONS",
-    "EventQueue",
-    "HeapEventQueue",
-    "BucketEventQueue",
-    "make_event_queue",
-]
+__all__ = ["EventQueue"]

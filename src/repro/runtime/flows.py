@@ -35,12 +35,16 @@ capacity, and its fault derating factor.  The network therefore keeps
 
 A reallocation pass then recomputes shares for the *dirty* edges only
 and re-rates only the flows crossing them; every other edge's share is
-served from the cache bit-for-bit.  Setting ``incremental=False``
-selects the brute-force reference allocator (recompute every occupied
-edge, re-rate every live flow) that the golden determinism tests and the
-``benchmarks/test_perf_scaling.py`` baseline compare against: both modes
-produce identical rates, and hence bit-identical simulations (see
-``docs/performance.md``).
+served from the cache bit-for-bit.
+
+Each pass re-rates its affected flows either with a scalar loop or, from
+:data:`VECTORIZE_MIN_FLOWS` affected flows up, with numpy over
+persistent per-flow and per-edge arrays; the two produce bit-identical
+rates, so the choice is a pure size rule.  ``tests/oracles/rates.py``
+holds the checks: after every pass each live flow's rate equals the
+from-scratch water-filled share of its edges, and scalar-only and
+brute-force networks (recompute every occupied edge, re-rate every live
+flow) reproduce the golden digests (see ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -48,19 +52,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
-try:  # numpy powers the vectorized re-rating path; optional at runtime.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+import numpy as np
 
 #: Absolute rate-change floor below which a re-rated flow keeps its old
 #: rate (and no completion event is re-posted).  Matches the seed
 #: implementation's threshold, so the default solver is bit-exact.
 ABS_RATE_EPS = 1e-12
 
-#: Default minimum affected-flow count at which a reallocation pass
-#: switches to the vectorized re-rater.  Below it, plain Python loops
-#: have lower constant factors.
+#: Minimum affected-flow count at which a reallocation pass switches to
+#: the vectorized re-rater.  Below it, plain Python loops have lower
+#: constant factors.
 VECTORIZE_MIN_FLOWS = 24
 
 
@@ -113,30 +114,18 @@ class FlowNetwork:
     Args:
         edge_capacity: raw capacity (bytes/us) per contention edge.
         gamma: Equation 1 contention penalty coefficient.
-        incremental: use the dirty-edge incremental solver (default).
-            ``False`` selects the brute-force reference allocator, which
-            produces identical rates at ``O(edges + flows)`` per pass.
         rate_rel_epsilon: optional *relative* rate-change threshold below
             which a re-rated flow keeps its previous rate.  The default
             ``0.0`` keeps only the absolute :data:`ABS_RATE_EPS` floor
             and is bit-exact; a non-zero value trades exactness for
             fewer completion-event reposts on large fabrics.
-        vectorize: allow the numpy re-rating path (used only when numpy
-            is importable and the solver is incremental).  The scalar
-            loop remains the reference; both produce bit-identical
-            rates, so a pass may pick either freely.
-        vectorize_min_flows: affected-flow count at which a pass engages
-            the vectorized re-rater (:data:`VECTORIZE_MIN_FLOWS`).
     """
 
     def __init__(
         self,
         edge_capacity: Dict[str, float],
         gamma: float = 0.03,
-        incremental: bool = True,
         rate_rel_epsilon: float = 0.0,
-        vectorize: bool = True,
-        vectorize_min_flows: int = VECTORIZE_MIN_FLOWS,
     ) -> None:
         if gamma < 0:
             raise ValueError(f"gamma must be non-negative, got {gamma}")
@@ -155,35 +144,31 @@ class FlowNetwork:
         # edge's membership or derating factor changes.
         self._share: Dict[str, float] = {}
         self._next_id = 0
-        self._incremental = incremental
         self._rate_rel_epsilon = rate_rel_epsilon
-        self._vectorize = bool(vectorize and _np is not None and incremental)
-        self._vectorize_min_flows = max(0, vectorize_min_flows)
-        if self._vectorize:
-            # Dense edge ids (insertion order of the capacity map, which
-            # is deterministic) and per-flow cached edge-index arrays:
-            # the CSR-style incidence the vectorized re-rater gathers.
-            self._edge_ids = {e: i for i, e in enumerate(self._capacity)}
-            self._flow_edge_idx: Dict[int, "_np.ndarray"] = {}
-            # Persistent numpy mirrors, so a vectorized pass is pure C
-            # gathers with no per-pass Python marshalling:
-            # * `_share_arr[edge_id]` mirrors every `_share` dict write
-            #   (an occupied edge always has a fresh entry by the time a
-            #   re-rate runs — membership changes dirty the edge);
-            # * `_cap_arr[slot]` / `_rate_arr[slot]` mirror each live
-            #   flow's cap and rate, slot-indexed with free-list reuse.
-            self._flow_slot: Dict[int, int] = {}
-            self._free_slots: List[int] = []
-            self._nslots = 0
-            self._share_arr = _np.zeros(len(self._capacity))
-            self._cap_arr = _np.zeros(256)
-            self._rate_arr = _np.zeros(256)
-            # Admission fast path state: per-edge member *slot* lists
-            # (kept in sync with `_edge_flows`), a slot -> Flow table,
-            # and a scratch vector for the combined-minimum scatter.
-            self._edge_slots: Dict[str, List[int]] = {}
-            self._slot_flow: List[Flow] = []
-            self._scratch = _np.zeros(256)
+        # Dense edge ids (insertion order of the capacity map, which is
+        # deterministic) and per-flow cached edge-index arrays: the
+        # CSR-style incidence the vectorized re-rater gathers.
+        self._edge_ids = {e: i for i, e in enumerate(self._capacity)}
+        self._flow_edge_idx: Dict[int, np.ndarray] = {}
+        # Persistent numpy mirrors, so a vectorized pass is pure C
+        # gathers with no per-pass Python marshalling:
+        # * `_share_arr[edge_id]` mirrors every `_share` dict write (an
+        #   occupied edge always has a fresh entry by the time a re-rate
+        #   runs — membership changes dirty the edge);
+        # * `_cap_arr[slot]` / `_rate_arr[slot]` mirror each live flow's
+        #   cap and rate, slot-indexed with free-list reuse.
+        self._flow_slot: Dict[int, int] = {}
+        self._free_slots: List[int] = []
+        self._nslots = 0
+        self._share_arr = np.zeros(len(self._capacity))
+        self._cap_arr = np.zeros(256)
+        self._rate_arr = np.zeros(256)
+        # Per-edge member *slot* lists (kept in sync with `_edge_flows`),
+        # a slot -> Flow table, and a scratch vector for the admission
+        # fast path's combined-minimum scatter.
+        self._edge_slots: Dict[str, List[int]] = {}
+        self._slot_flow: List[Flow] = []
+        self._scratch = np.zeros(256)
         # Fault-injection capacity scaling; empty when no faults are armed,
         # so the healthy-fabric math is untouched.
         self._factor: Dict[str, float] = {}
@@ -199,10 +184,6 @@ class FlowNetwork:
     @property
     def gamma(self) -> float:
         return self._gamma
-
-    @property
-    def incremental(self) -> bool:
-        return self._incremental
 
     def active_count(self) -> int:
         return len(self._flows)
@@ -273,42 +254,39 @@ class FlowNetwork:
         self._flows[flow.flow_id] = flow
         for edge in flow.edges:
             self._edge_flows.setdefault(edge, {})[flow.flow_id] = None
-        if self._vectorize:
-            ids = self._edge_ids
-            self._flow_edge_idx[flow.flow_id] = _np.fromiter(
-                (ids[e] for e in flow.edges),
-                dtype=_np.intp,
-                count=len(flow.edges),
-            )
-            free = self._free_slots
-            if free:
-                slot = free.pop()
-                self._slot_flow[slot] = flow
-            else:
-                slot = self._nslots
-                self._nslots = slot + 1
-                if slot >= self._cap_arr.shape[0]:
-                    grow = _np.zeros(self._cap_arr.shape[0])
-                    self._cap_arr = _np.concatenate([self._cap_arr, grow])
-                    self._rate_arr = _np.concatenate([self._rate_arr, grow])
-                    self._scratch = _np.concatenate([self._scratch, grow])
-                self._slot_flow.append(flow)
-            self._flow_slot[flow.flow_id] = slot
-            self._cap_arr[slot] = flow.cap
-            self._rate_arr[slot] = 0.0
-            edge_slots = self._edge_slots
-            for edge in flow.edges:
-                lst = edge_slots.get(edge)
-                if lst is None:
-                    edge_slots[edge] = [slot]
-                else:
-                    lst.append(slot)
-        self.flows_admitted += 1
-        if not ordered and self._vectorize and self._incremental:
-            changed = self._rerate_admission(flow, now)
+        ids = self._edge_ids
+        self._flow_edge_idx[flow.flow_id] = np.fromiter(
+            (ids[e] for e in flow.edges),
+            dtype=np.intp,
+            count=len(flow.edges),
+        )
+        free = self._free_slots
+        if free:
+            slot = free.pop()
+            self._slot_flow[slot] = flow
         else:
-            changed = self._reallocate(flow.edges, now, ordered=ordered)
-        return flow, changed
+            slot = self._nslots
+            self._nslots = slot + 1
+            if slot >= self._cap_arr.shape[0]:
+                grow = np.zeros(self._cap_arr.shape[0])
+                self._cap_arr = np.concatenate([self._cap_arr, grow])
+                self._rate_arr = np.concatenate([self._rate_arr, grow])
+                self._scratch = np.concatenate([self._scratch, grow])
+            self._slot_flow.append(flow)
+        self._flow_slot[flow.flow_id] = slot
+        self._cap_arr[slot] = flow.cap
+        self._rate_arr[slot] = 0.0
+        edge_slots = self._edge_slots
+        for edge in flow.edges:
+            lst = edge_slots.get(edge)
+            if lst is None:
+                edge_slots[edge] = [slot]
+            else:
+                lst.append(slot)
+        self.flows_admitted += 1
+        if ordered:
+            return flow, self._reallocate(flow.edges, now)
+        return flow, self._rerate_admission(flow, now)
 
     def finish_flow(
         self, flow: Flow, now: float, rerate: bool = True
@@ -325,19 +303,16 @@ class FlowNetwork:
         """
         flow.advance_to(now)
         del self._flows[flow.flow_id]
-        if self._vectorize:
-            self._flow_edge_idx.pop(flow.flow_id, None)
-            slot = self._flow_slot.pop(flow.flow_id, None)
-            if slot is not None:
-                self._free_slots.append(slot)
-                self._slot_flow[slot] = None  # type: ignore[call-overload]
-                edge_slots = self._edge_slots
-                for edge in flow.edges:
-                    lst = edge_slots.get(edge)
-                    if lst is not None:
-                        lst.remove(slot)
-                        if not lst:
-                            del edge_slots[edge]
+        del self._flow_edge_idx[flow.flow_id]
+        slot = self._flow_slot.pop(flow.flow_id)
+        self._free_slots.append(slot)
+        self._slot_flow[slot] = None  # type: ignore[call-overload]
+        edge_slots = self._edge_slots
+        for edge in flow.edges:
+            lst = edge_slots[edge]
+            lst.remove(slot)
+            if not lst:
+                del edge_slots[edge]
         for edge in flow.edges:
             peers = self._edge_flows.get(edge)
             if peers is not None:
@@ -354,9 +329,9 @@ class FlowNetwork:
 
         Companion to ``finish_flow(..., rerate=False)``: one pass over
         the union of the deferred flows' edges.  The changed list is
-        flow-id sorted (``ordered=True``) because the caller posts
-        completion events from it, and the post sequence must not depend
-        on the solver variant's internal iteration order.
+        flow-id sorted because the caller posts completion events from
+        it, and the post sequence must not depend on the solver's
+        internal iteration order.
         """
         return self._reallocate(edges, now)
 
@@ -394,40 +369,22 @@ class FlowNetwork:
         Flows capped below the equal share donate their spare capacity to
         the remaining flows of the edge.
         """
-        if self._vectorize:
-            lst = self._edge_slots.get(edge)
-            if lst is None:
-                self.shares_computed += 1
-                return self.effective_capacity(edge)
-            return self._edge_share_arr(
-                edge, _np.array(lst, dtype=_np.intp)
-            )
-        self.shares_computed += 1
-        flow_ids = self._edge_flows.get(edge, ())
-        k = len(flow_ids)
-        if k == 0:
+        lst = self._edge_slots.get(edge)
+        if lst is None:
+            self.shares_computed += 1
             return self.effective_capacity(edge)
-        capacity = self.effective_capacity(edge)
-        equal = capacity / k
-        capped = [
-            self._flows[fid].cap
-            for fid in flow_ids
-            if self._flows[fid].cap < equal
-        ]
-        uncapped = k - len(capped)
-        if uncapped == 0:
-            return equal
-        return (capacity - sum(capped)) / uncapped
+        return self._edge_share_arr(edge, np.array(lst, dtype=np.intp))
 
     def _edge_share_arr(self, edge: str, slots_arr) -> float:
-        """Vectorized :meth:`_edge_share` over an edge's member slots.
+        """:meth:`_edge_share` over an edge's member slots.
 
-        Bit-identical to the scalar expression: the slot list preserves
-        membership order (append on admit, remove-first on finish, like
-        the id dict), the cap compare is the same float64 compare, and
-        the donated-capacity sum uses ``np.cumsum`` — a strictly
-        sequential left-to-right scan, unlike ``np.sum``'s pairwise
-        reduction — so it reproduces Python ``sum``'s rounding exactly.
+        Bit-identical to the plain-Python water-filling round (kept in
+        ``tests/oracles/rates.py``): the slot list preserves membership
+        order (append on admit, remove-first on finish, like the id
+        dict), the cap compare is the same float64 compare, and the
+        donated-capacity sum uses ``np.cumsum`` — a strictly sequential
+        left-to-right scan, unlike ``np.sum``'s pairwise reduction — so
+        it reproduces Python ``sum``'s rounding exactly.
         """
         self.shares_computed += 1
         k = slots_arr.shape[0]
@@ -435,13 +392,13 @@ class FlowNetwork:
         equal = capacity / k
         caps = self._cap_arr[slots_arr]
         mask = caps < equal
-        ncapped = int(_np.count_nonzero(mask))
+        ncapped = int(np.count_nonzero(mask))
         uncapped = k - ncapped
         if uncapped == 0:
             return equal
         if ncapped == 0:
             return capacity / uncapped
-        total = float(_np.cumsum(caps[mask])[-1])
+        total = float(np.cumsum(caps[mask])[-1])
         return (capacity - total) / uncapped
 
     def _share_of(self, edge: str) -> float:
@@ -449,8 +406,7 @@ class FlowNetwork:
         share = self._share.get(edge)
         if share is None:
             share = self._share[edge] = self._edge_share(edge)
-            if self._vectorize:
-                self._share_arr[self._edge_ids[edge]] = share
+            self._share_arr[self._edge_ids[edge]] = share
         return share
 
     def _reallocate(
@@ -458,46 +414,33 @@ class FlowNetwork:
     ) -> List[Flow]:
         """Recompute rates after ``dirty_edges`` changed; returns changes.
 
-        Incremental mode recomputes the share of each dirty edge and
-        re-rates only the flows crossing one; clean edges are served from
-        the share cache.  Reference mode recomputes every occupied edge
-        and re-rates every live flow — same rates, no cache.  The changed
-        list is sorted by flow id (unless the caller opts out with
-        ``ordered=False``) so both modes hand the simulator the exact
-        same event-post sequence.
+        Recomputes the share of each dirty edge and re-rates only the
+        flows crossing one; clean edges are served from the share cache.
+        The changed list is sorted by flow id (unless the caller opts
+        out with ``ordered=False``), so the simulator's event-post
+        sequence does not depend on which re-rater ran.
         """
         self.reallocations += 1
-        vectorize = self._vectorize
-        if self._incremental:
-            # Union of the dirty edges' member sets, in first-seen order.
-            # ``dict.update`` merges the per-edge id dicts at C speed —
-            # the same order a Python seen-set loop would produce.
-            affected_ids: Dict[int, None] = {}
-            for edge in dirty_edges:
-                members = self._edge_flows.get(edge)
-                if members is None:
-                    self._share.pop(edge, None)
-                    continue
-                fresh = self._share[edge] = self._edge_share(edge)
-                if vectorize:
-                    self._share_arr[self._edge_ids[edge]] = fresh
-                affected_ids.update(members)
-            if vectorize and len(affected_ids) >= self._vectorize_min_flows:
-                self.vectorized_passes += 1
-                changed = self._rerate_vectorized(list(affected_ids), now)
-            else:
-                self.scalar_passes += 1
-                flows = self._flows
-                changed = self._rerate_scalar(
-                    [flows[fid] for fid in affected_ids],
-                    self._share_of,
-                    now,
-                )
+        # Union of the dirty edges' member sets, in first-seen order.
+        # ``dict.update`` merges the per-edge id dicts at C speed — the
+        # same order a Python seen-set loop would produce.
+        affected_ids: Dict[int, None] = {}
+        for edge in dirty_edges:
+            members = self._edge_flows.get(edge)
+            if members is None:
+                self._share.pop(edge, None)
+                continue
+            fresh = self._share[edge] = self._edge_share(edge)
+            self._share_arr[self._edge_ids[edge]] = fresh
+            affected_ids.update(members)
+        if len(affected_ids) >= VECTORIZE_MIN_FLOWS:
+            self.vectorized_passes += 1
+            changed = self._rerate_vectorized(list(affected_ids), now)
         else:
-            shares = {e: self._edge_share(e) for e in self._edge_flows}
             self.scalar_passes += 1
+            flows = self._flows
             changed = self._rerate_scalar(
-                list(self._flows.values()), shares.__getitem__, now
+                [flows[fid] for fid in affected_ids], now
             )
         if ordered:
             changed.sort(key=lambda f: f.flow_id)
@@ -533,40 +476,40 @@ class FlowNetwork:
         total = 0
         for edge in edges:
             total += len(edge_slots[edge])
-        if total < self._vectorize_min_flows:
+        if total < VECTORIZE_MIN_FLOWS:
             return self._reallocate(edges, now, ordered=False)
         self.reallocations += 1
         self.vectorized_passes += 1
         share_arr = self._share_arr
         edge_ids = self._edge_ids
         share_map = self._share
-        parts: List["_np.ndarray"] = []
-        cands: List["_np.ndarray"] = []
+        parts: List["np.ndarray"] = []
+        cands: List["np.ndarray"] = []
         fresh_shares: List[float] = []
         for edge in edges:
-            part = _np.array(edge_slots[edge], dtype=_np.intp)
+            part = np.array(edge_slots[edge], dtype=np.intp)
             fresh = share_map[edge] = self._edge_share_arr(edge, part)
             share_arr[edge_ids[edge]] = fresh
             fresh_shares.append(fresh)
             parts.append(part)
-            cands.append(_np.full(part.shape[0], fresh))
+            cands.append(np.full(part.shape[0], fresh))
         if len(parts) == 1:
             slots_cat, cand_cat = parts[0], cands[0]
         else:
-            slots_cat = _np.concatenate(parts)
-            cand_cat = _np.concatenate(cands)
+            slots_cat = np.concatenate(parts)
+            cand_cat = np.concatenate(cands)
         rate_arr = self._rate_arr
         old = rate_arr[slots_cat]
         scratch = self._scratch
         scratch[slots_cat] = old
-        _np.minimum.at(scratch, slots_cat, cand_cat)
+        np.minimum.at(scratch, slots_cat, cand_cat)
         new = scratch[slots_cat]
         rel = self._rate_rel_epsilon
         if rel > 0.0:
-            threshold = _np.maximum(ABS_RATE_EPS, rel * _np.abs(old))
+            threshold = np.maximum(ABS_RATE_EPS, rel * np.abs(old))
         else:
             threshold = ABS_RATE_EPS
-        rows = _np.nonzero(old - new > threshold)[0]
+        rows = np.nonzero(old - new > threshold)[0]
         changed: List[Flow] = []
         slot_flow = self._slot_flow
         seen = set()
@@ -596,9 +539,9 @@ class FlowNetwork:
         self.rate_updates += len(changed)
         return changed
 
-    def _rerate_scalar(self, affected, share, now: float) -> List[Flow]:
-        """Reference per-flow re-rate loop (`share` maps edge -> share)."""
-        vectorize = self._vectorize
+    def _rerate_scalar(self, affected: List[Flow], now: float) -> List[Flow]:
+        """Per-flow re-rate loop over cached edge shares."""
+        share = self._share_of
         rel = self._rate_rel_epsilon
         changed: List[Flow] = []
         for flow in affected:
@@ -609,8 +552,7 @@ class FlowNetwork:
             if abs(new_rate - flow.rate) > threshold:
                 flow.advance_to(now)
                 flow.rate = new_rate
-                if vectorize:
-                    self._rate_arr[self._flow_slot[flow.flow_id]] = new_rate
+                self._rate_arr[self._flow_slot[flow.flow_id]] = new_rate
                 changed.append(flow)
         return changed
 
@@ -637,24 +579,24 @@ class FlowNetwork:
         arrs = [idx_map[fid] for fid in ids]
         slots_list = [slot_map[fid] for fid in ids]
         n = len(arrs)
-        cat = _np.concatenate(arrs)
-        counts = _np.array([a.shape[0] for a in arrs], dtype=_np.intp)
-        offsets = _np.zeros(n, dtype=_np.intp)
-        _np.cumsum(counts[:-1], out=offsets[1:])
-        slots = _np.array(slots_list, dtype=_np.intp)
-        seg_min = _np.minimum.reduceat(self._share_arr[cat], offsets)
+        cat = np.concatenate(arrs)
+        counts = np.array([a.shape[0] for a in arrs], dtype=np.intp)
+        offsets = np.zeros(n, dtype=np.intp)
+        np.cumsum(counts[:-1], out=offsets[1:])
+        slots = np.array(slots_list, dtype=np.intp)
+        seg_min = np.minimum.reduceat(self._share_arr[cat], offsets)
         caps = self._cap_arr[slots]
         old = self._rate_arr[slots]
-        new = _np.minimum(caps, seg_min)
+        new = np.minimum(caps, seg_min)
         rel = self._rate_rel_epsilon
         if rel > 0.0:
-            threshold = _np.maximum(ABS_RATE_EPS, rel * _np.abs(old))
+            threshold = np.maximum(ABS_RATE_EPS, rel * np.abs(old))
         else:
             threshold = ABS_RATE_EPS
         changed: List[Flow] = []
         rate_arr = self._rate_arr
         flows = self._flows
-        idx = _np.nonzero(_np.abs(new - old) > threshold)[0]
+        idx = np.nonzero(np.abs(new - old) > threshold)[0]
         # One C-side conversion per pass; ``tolist`` yields plain Python
         # floats (same float64 bits), keeping numpy scalars out of the
         # flow state and out of every downstream report field.

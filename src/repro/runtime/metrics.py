@@ -161,14 +161,15 @@ class SimCounters:
     publishes them once per run, after the event loop, and never
     touches the registry per event.
 
-    Physical report fields must be bit-identical across every exact
-    solver/queue/aggregation configuration; a few *work counters* are
-    allowed to differ because they describe how the answer was computed,
-    not the answer: ``shares_computed`` (incremental vs reference
-    allocator), ``vectorized_passes``/``scalar_passes`` (which re-rater
-    ran), ``bucket_occupancy_max``/``queue_refills`` (queue backend),
-    and the ``agg_*`` family (aggregation on/off).  The golden
-    determinism suite masks exactly that set and pins everything else.
+    Physical report fields must be bit-identical between the production
+    solver and the reference solvers in ``tests/oracles/``; a few *work
+    counters* are allowed to differ because they describe how the answer
+    was computed, not the answer: ``shares_computed`` (incremental vs
+    brute-force allocator), ``vectorized_passes``/``scalar_passes``
+    (which re-rater ran), ``queue_refills``, and the ``agg_*`` family
+    (shared vs per-instance metadata, fast-fidelity collapse).  The
+    golden determinism digests mask exactly that set and pin everything
+    else.
     """
 
     events_posted: int = 0
@@ -185,9 +186,8 @@ class SimCounters:
     scalar_passes: int = 0
     #: Event-queue occupancy high-water mark (cancelled entries included).
     queue_depth_max: int = 0
-    #: Largest calendar bucket activated (0 under the heap backend).
-    bucket_occupancy_max: int = 0
-    #: Calendar bucket activations (0 under the heap backend).
+    #: Always 0: the event queue is a single binary heap that never
+    #: refills.  Kept because the performance ledger reads it.
     queue_refills: int = 0
     #: Tasks whose schedule metadata one representative instance computed
     #: for all its micro-batch siblings (exact aggregation).
@@ -212,7 +212,6 @@ class SimCounters:
         "shares_computed",
         "vectorized_passes",
         "scalar_passes",
-        "bucket_occupancy_max",
         "queue_refills",
         "agg_tasks_cached",
         "agg_runs_collapsed",
@@ -227,15 +226,8 @@ class SimCounters:
             f"events: {self.events_posted} posted / "
             f"{self.events_popped} popped "
             f"({self.stale_events_skipped} stale skipped, "
-            f"queue depth <= {self.queue_depth_max}"
-        )
-        if self.queue_refills:
-            text += (
-                f", {self.queue_refills} bucket refill(s), "
-                f"occupancy <= {self.bucket_occupancy_max}"
-            )
-        text += (
-            f"); rates: {self.reallocations} reallocation passes "
+            f"queue depth <= {self.queue_depth_max}); "
+            f"rates: {self.reallocations} reallocation passes "
             f"({self.vectorized_passes} vectorized / "
             f"{self.scalar_passes} scalar), "
             f"{self.shares_computed} edge shares computed, "

@@ -34,7 +34,7 @@ from ..obs.metrics import current_registry
 from ..obs.spans import span as obs_span
 from ..topology.cluster import TIERS, tier_of
 from .aggregate import collapse_microbatch_runs, expand_report
-from .events import make_event_queue
+from .events import EventQueue
 from .flows import Flow, FlowNetwork
 from .metrics import (
     FaultStats,
@@ -107,6 +107,10 @@ class _TB:
 class Simulator:
     """Executes one :class:`ExecutionPlan` and gathers metrics."""
 
+    #: The rate solver this simulator instantiates.  The reference
+    #: networks in ``tests/oracles/rates.py`` subclass it.
+    network_class = FlowNetwork
+
     def __init__(
         self,
         plan: ExecutionPlan,
@@ -146,30 +150,23 @@ class Simulator:
         # touches it: run() publishes the run's own counters once, at
         # the end (see _publish_metrics).
         self._metrics = current_registry()
-        self.network = FlowNetwork(
+        self.network = self.network_class(
             {e: self.cluster.edge_capacity(e) for e in self.cluster.edges},
             gamma=self.config.gamma,
-            incremental=self.config.incremental_rates,
             rate_rel_epsilon=self.config.rate_rel_epsilon,
-            vectorize=self.config.vectorized_rates,
-            vectorize_min_flows=self.config.vectorize_min_flows,
         )
         self.start_at_us = start_at_us
         self.now = start_at_us
         self.counters = SimCounters()
-        self._queue = make_event_queue(
-            self.config.event_queue,
-            plan.total_invocations,
-            self.config.event_bucket_width_us,
-        )
+        self._queue = EventQueue()
         self._seq = itertools.count()
         # Lazy invalidation (default): the live completion-event entry of
         # each flow is tracked in `_flow_cell` and cancelled in place
         # when a re-rate supersedes it, so stale events are skipped
         # inside the queue without a dispatch.  With
-        # ``lazy_invalidation=False`` (the pre-bucket discipline, kept as
-        # the benchmark baseline) stale events are dispatched and
-        # recognised by a per-flow version check instead.
+        # ``lazy_invalidation=False`` (the eager discipline) stale events
+        # are dispatched and recognised by a per-flow version check
+        # instead.
         self._lazy_inval = self.config.lazy_invalidation
         self._flow_cell: Dict[int, list] = {}
         # Batched finish re-rates (lazy mode): edges whose membership
@@ -185,10 +182,7 @@ class Simulator:
         self._task_latency: Dict[int, float] = {}
         # Exact micro-batch aggregation: one representative instance's
         # schedule metadata (route + send cap, recv copy duration) is
-        # computed once per task and shared by its siblings.  Disabled
-        # (recomputed per instance) when ``aggregate_microbatches`` is
-        # off; both modes are bit-identical.
-        self._agg_meta = self.config.aggregate_microbatches
+        # computed once per task and shared by its siblings.
         self._task_send_meta: Dict[int, Tuple[Tuple[str, ...], float]] = {}
         self._task_recv_duration: Dict[int, float] = {}
         for edges, cap in background_traffic or ():
@@ -508,22 +502,33 @@ class Simulator:
     def _send_meta(self, tb: _TB, task_id: int, task) -> Tuple[Tuple[str, ...], float]:
         """Route edges and TB send cap for one task's transfer.
 
-        With exact micro-batch aggregation on, the representative
-        instance's values are shared by every sibling; otherwise they
-        are recomputed per instance (identical results either way).
+        Computed by the first (representative) instance and shared by
+        every micro-batch sibling.
         """
-        if self._agg_meta:
-            meta = self._task_send_meta.get(task_id)
-            if meta is not None:
-                return meta
-        edges = self.cluster.path(task.src, task.dst).edges
-        cap = (
-            self.cluster.profile.tb_copy_bandwidth(tb.program.nwarps)
-            * self.config.protocol.bandwidth_efficiency
-        )
-        if self._agg_meta:
-            self._task_send_meta[task_id] = (edges, cap)
-        return edges, cap
+        meta = self._task_send_meta.get(task_id)
+        if meta is None:
+            edges = self.cluster.path(task.src, task.dst).edges
+            cap = (
+                self.cluster.profile.tb_copy_bandwidth(tb.program.nwarps)
+                * self.config.protocol.bandwidth_efficiency
+            )
+            meta = self._task_send_meta[task_id] = (edges, cap)
+        return meta
+
+    def _recv_duration(self, tb: _TB, task_id: int) -> float:
+        """Copy-out time of one task's receive (plus the reduction cost
+        of ``recvReduceCopy``), shared by every micro-batch sibling."""
+        duration = self._task_recv_duration.get(task_id)
+        if duration is None:
+            chunk_bytes = self.plan.chunk_bytes
+            copy_bw = self.cluster.profile.tb_copy_bandwidth(tb.program.nwarps)
+            duration = chunk_bytes / copy_bw
+            if self.dag.task(task_id).op is CommType.RRC:
+                duration += (
+                    chunk_bytes * self.cluster.profile.reduce_cost_per_byte_us
+                )
+            self._task_recv_duration[task_id] = duration
+        return duration
 
     def _start_flow(self, tb: _TB, inv: Invocation, task) -> None:
         if self._dirty_edges:
@@ -546,7 +551,7 @@ class Simulator:
         self._link_enter(task.link)
         self._post_flow_eta(flow)
         if not self._lazy_inval:
-            # Pre-bucket discipline: every peer rate change reposts.
+            # Eager discipline: every peer rate change reposts.
             for other in changed:
                 if other.flow_id != flow.flow_id:
                     self._post_flow_eta(other)
@@ -606,14 +611,14 @@ class Simulator:
             elif cell is not None:
                 del self._flow_cell[flow_id]
         else:
-            # Pre-bucket discipline (the scale benchmark's baseline):
-            # every rate change bumps the flow's version and posts a
-            # fresh event at the new ETA; superseded events stay live in
-            # the queue and are recognised at dispatch by their stale
-            # version.  Physical completion times match the earliest-wins
-            # discipline exactly, but the completion *tie-break order*
-            # of simultaneous completions may differ, so this mode is a
-            # wall-time baseline, not a golden-fingerprint variant.
+            # Eager discipline: every rate change bumps the flow's
+            # version and posts a fresh event at the new ETA; superseded
+            # events stay live in the queue and are recognised at
+            # dispatch by their stale version.  ETAs are computed at
+            # different instants than under earliest-wins and
+            # simultaneous completions may tie-break differently, so
+            # the two disciplines agree only within the tolerance stated
+            # on ``SimConfig.lazy_invalidation``.
             version = self._flow_version.get(flow_id, 0) + 1
             self._flow_version[flow_id] = version
             eta = flow.eta()
@@ -735,20 +740,7 @@ class Simulator:
                 self._dep_waiters[key].append(tb.index)
             return False
         self._unblock(tb)
-        duration = (
-            self._task_recv_duration.get(inv.task_id) if self._agg_meta else None
-        )
-        if duration is None:
-            task = self.dag.task(inv.task_id)
-            copy_bw = self.cluster.profile.tb_copy_bandwidth(tb.program.nwarps)
-            duration = self.plan.chunk_bytes / copy_bw
-            if task.op is CommType.RRC:
-                duration += (
-                    self.plan.chunk_bytes
-                    * self.cluster.profile.reduce_cost_per_byte_us
-                )
-            if self._agg_meta:
-                self._task_recv_duration[inv.task_id] = duration
+        duration = self._recv_duration(tb, inv.task_id)
         tb.phase = _INFLIGHT
         self._progress()
         self._recv_state[key] = [tb.index, self.now, False]
@@ -1050,13 +1042,11 @@ class Simulator:
         counters.scalar_passes = network.scalar_passes
         queue = self._queue
         # Cancelled (superseded) entries never dispatched; fold them into
-        # the pop/stale totals so the counters keep the pre-bucket
+        # the pop/stale totals so the counters keep the eager
         # semantics: every posted event is either dispatched or skipped.
         counters.events_popped += queue.cancelled_skipped
         counters.stale_events_skipped += queue.cancelled_skipped
         counters.queue_depth_max = queue.depth_max
-        counters.bucket_occupancy_max = queue.bucket_occupancy_max
-        counters.queue_refills = queue.refills
         counters.agg_tasks_cached = len(self._task_send_meta) + len(
             self._task_recv_duration
         )
@@ -1092,7 +1082,6 @@ class Simulator:
         ):
             registry.inc(name, value)
         registry.set("sim_queue_depth_max", counters.queue_depth_max)
-        registry.set("sim_bucket_occupancy_max", counters.bucket_occupancy_max)
         registry.set("sim_agg_tasks_cached", counters.agg_tasks_cached)
         stats = [tb.stats for tb in self.tbs]
         registry.inc(

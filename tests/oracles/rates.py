@@ -1,0 +1,164 @@
+"""Reference rate solvers and the per-pass water-filling invariant.
+
+The production :class:`~repro.runtime.flows.FlowNetwork` is incremental
+(it recomputes only dirty edges and serves the rest from a share cache)
+and picks a numpy or a scalar re-rater per pass by size.  This module
+holds what it is checked against:
+
+* :func:`water_filled_share` — one edge's share computed from scratch in
+  plain Python, the expression the numpy path must reproduce bit for
+  bit;
+* :class:`RateOracleNetwork` — after every solver pass with no deferred
+  finish re-rate pending, asserts that every live flow's rate equals
+  ``min(cap, min over its edges of the from-scratch share)`` within
+  :data:`~repro.runtime.flows.ABS_RATE_EPS`: the per-epoch progressive
+  filling of the multi-commodity-flow formulation;
+* :class:`ScalarFlowNetwork` — never takes the numpy path;
+* :class:`BruteForceFlowNetwork` — also recomputes every occupied edge
+  and re-rates every live flow on every pass (no share cache);
+* :class:`PerInstanceSimulator` (and the two functions it installs) —
+  recomputes each micro-batch instance's schedule metadata instead of
+  sharing the representative's.
+
+Each reproduces the golden digests (``tests/test_golden_oracles.py``).
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Iterable, List
+
+from repro.runtime.flows import ABS_RATE_EPS, Flow, FlowNetwork
+from repro.runtime.simulator import Simulator
+
+
+def water_filled_share(network: FlowNetwork, edge: str) -> float:
+    """Per-flow share of one edge after one water-filling round.
+
+    Flows capped below the equal share donate their spare capacity to
+    the remaining flows of the edge.
+    """
+    flows = network._flows
+    flow_ids = network._edge_flows.get(edge, ())
+    k = len(flow_ids)
+    capacity = network.effective_capacity(edge)
+    if k == 0:
+        return capacity
+    equal = capacity / k
+    capped = [flows[fid].cap for fid in flow_ids if flows[fid].cap < equal]
+    uncapped = k - len(capped)
+    if uncapped == 0:
+        return equal
+    return (capacity - sum(capped)) / uncapped
+
+
+class ScalarFlowNetwork(FlowNetwork):
+    """Every pass re-rated by the plain-Python loop, shares included."""
+
+    def _edge_share(self, edge: str) -> float:
+        self.shares_computed += 1
+        return water_filled_share(self, edge)
+
+    def _rerate_admission(self, flow: Flow, now: float) -> List[Flow]:
+        return self._reallocate(flow.edges, now, ordered=False)
+
+    def _rerate_vectorized(self, ids: List[int], now: float) -> List[Flow]:
+        self.vectorized_passes -= 1
+        self.scalar_passes += 1
+        flows = self._flows
+        return self._rerate_scalar([flows[fid] for fid in ids], now)
+
+
+class BruteForceFlowNetwork(ScalarFlowNetwork):
+    """Recompute every occupied edge, re-rate every live flow, per pass."""
+
+    def _reallocate(
+        self, dirty_edges: Iterable[str], now: float, ordered: bool = True
+    ) -> List[Flow]:
+        self.reallocations += 1
+        self.scalar_passes += 1
+        self._share = {e: self._edge_share(e) for e in self._edge_flows}
+        changed = self._rerate_scalar(list(self._flows.values()), now)
+        if ordered:
+            changed.sort(key=lambda f: f.flow_id)
+        self.rate_updates += len(changed)
+        return changed
+
+
+class RateOracleNetwork(FlowNetwork):
+    """The production network, checked against the invariant per pass.
+
+    A finish whose re-rate the simulator defers (``rerate=False``) leaves
+    the rates of its peers stale until the matching :meth:`rerate_edges`
+    flush, so passes in between are not checked.  Only exact mode
+    (``rate_rel_epsilon == 0``) is checked.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._deferred: Dict[str, None] = {}
+        self._checked_pass = -1
+        self.passes_checked = 0
+        self.max_error = 0.0
+
+    def finish_flow(self, flow: Flow, now: float, rerate: bool = True):
+        if not rerate:
+            self._deferred.update(dict.fromkeys(flow.edges))
+        return super().finish_flow(flow, now, rerate)
+
+    def rerate_edges(self, edges: Iterable[str], now: float) -> List[Flow]:
+        self._deferred = {}
+        return super().rerate_edges(edges, now)
+
+    def _reallocate(self, dirty_edges, now, ordered=True):
+        changed = super()._reallocate(dirty_edges, now, ordered)
+        self.check(now)
+        return changed
+
+    def _rerate_admission(self, flow, now):
+        changed = super()._rerate_admission(flow, now)
+        self.check(now)
+        return changed
+
+    def check(self, now: float) -> None:
+        """Assert the invariant for every live flow, once per pass."""
+        if self._deferred or self._rate_rel_epsilon > 0.0:
+            return
+        if self._checked_pass == self.reallocations:
+            return  # an admission pass that delegated to _reallocate
+        self._checked_pass = self.reallocations
+        shares = {e: water_filled_share(self, e) for e in self._edge_flows}
+        for flow in self._flows.values():
+            expected = min(flow.cap, min(shares[e] for e in flow.edges))
+            error = abs(flow.rate - expected)
+            if error > self.max_error:
+                self.max_error = error
+            assert error <= ABS_RATE_EPS, (
+                f"t={now}: flow {flow.flow_id} on {flow.edges} runs at "
+                f"{flow.rate!r}, water-filling gives {expected!r}"
+            )
+        self.passes_checked += 1
+
+
+_shared_send_meta = Simulator._send_meta
+_shared_recv_duration = Simulator._recv_duration
+
+
+def send_meta_per_instance(self, tb, task_id, task):
+    """``Simulator._send_meta`` without sharing across siblings."""
+    meta = _shared_send_meta(self, tb, task_id, task)
+    del self._task_send_meta[task_id]
+    return meta
+
+
+def recv_duration_per_instance(self, tb, task_id):
+    """``Simulator._recv_duration`` without sharing across siblings."""
+    duration = _shared_recv_duration(self, tb, task_id)
+    del self._task_recv_duration[task_id]
+    return duration
+
+
+class PerInstanceSimulator(Simulator):
+    """Recomputes route, send cap and copy time for every instance."""
+
+    _send_meta = send_meta_per_instance
+    _recv_duration = recv_duration_per_instance

@@ -1,22 +1,14 @@
-"""Event-queue backends: identical pop order, lazy cancellation, peek.
+"""The event queue: ascending ``(time, seq)`` pops, lazy cancellation, peek.
 
-The calendar/bucket queue exists purely for wall time; these tests pin
-the contract the simulator's determinism rests on — both backends pop
-any event stream in the identical ascending ``(time, seq)`` order,
-cancelled entries are skipped (and counted) without dispatch, and
-``peek`` returns exactly the entry the next ``pop`` would deliver.
+These tests pin the contract the simulator's determinism rests on — any
+event stream pops in ascending ``(time, seq)`` order, cancelled entries
+are skipped (and counted) without dispatch, and ``peek`` returns exactly
+the entry the next ``pop`` would deliver.
 """
 
 import random
 
-import pytest
-
-from repro.runtime.events import (
-    AUTO_BUCKET_MIN_INVOCATIONS,
-    BucketEventQueue,
-    HeapEventQueue,
-    make_event_queue,
-)
+from repro.runtime.events import EventQueue
 
 
 def _drain(queue):
@@ -35,56 +27,50 @@ def _random_stream(seed, n=500, horizon=1000.0):
     ]
 
 
-class TestOrderIdentity:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_backends_pop_identically(self, seed):
-        heap, bucket = HeapEventQueue(), BucketEventQueue(width_us=64.0)
-        for time, seq, kind in _random_stream(seed):
-            heap.post(time, seq, kind, None)
-            bucket.post(time, seq, kind, None)
-        assert _drain(heap) == _drain(bucket)
+class TestOrder:
+    def test_pops_in_time_then_seq_order(self):
+        queue = EventQueue()
+        stream = _random_stream(0)
+        for time, seq, kind in stream:
+            queue.post(time, seq, kind, None)
+        assert _drain(queue) == sorted(stream)
 
     def test_interleaved_post_and_pop(self):
-        """Posts landing in the already-active bucket stay ordered."""
-        heap, bucket = HeapEventQueue(), BucketEventQueue(width_us=10.0)
+        """Posts made between pops still come out globally ordered."""
+        queue = EventQueue()
         stream = _random_stream(3, n=200, horizon=100.0)
-        for q in (heap, bucket):
-            for time, seq, kind in stream[:100]:
-                q.post(time, seq, kind, None)
-        got = []
+        for time, seq, kind in stream[:100]:
+            queue.post(time, seq, kind, None)
         seq = 1000
-        for step in range(100):
-            a, b = heap.pop(), bucket.pop()
-            assert a == b
-            got.append(a)
-            # Post a follow-up at the popped entry's own time: an
-            # intra-bucket arrival for the active bucket.
-            t = a[0] + 0.5
-            heap.post(t, seq, "follow", None)
-            bucket.post(t, seq, "follow", None)
+        last = (-1.0, -1)
+        for _ in range(100):
+            entry = queue.pop()
+            assert (entry[0], entry[1]) > last
+            last = (entry[0], entry[1])
+            queue.post(entry[0] + 0.5, seq, "follow", None)
             seq += 1
-        assert _drain(heap) == _drain(bucket)
+        rest = _drain(queue)
+        assert rest == sorted(rest)
+        assert (rest[0][0], rest[0][1]) > last
 
     def test_same_time_orders_by_seq(self):
-        bucket = BucketEventQueue(width_us=64.0)
+        queue = EventQueue()
         for seq in (5, 1, 3):
-            bucket.post(7.0, seq, "tie", None)
-        assert [e[1] for e in _drain(bucket)] == [1, 3, 5]
+            queue.post(7.0, seq, "tie", None)
+        assert [e[1] for e in _drain(queue)] == [1, 3, 5]
 
 
 class TestCancellation:
-    @pytest.mark.parametrize("make", [HeapEventQueue, BucketEventQueue])
-    def test_cancelled_entries_are_skipped_and_counted(self, make):
-        queue = make()
+    def test_cancelled_entries_are_skipped_and_counted(self):
+        queue = EventQueue()
         entries = [queue.post(float(i), i, "e", None) for i in range(10)]
         for entry in entries[::2]:
             queue.cancel(entry)
         assert [e[1] for e in _drain(queue)] == [1, 3, 5, 7, 9]
         assert queue.cancelled_skipped == 5
 
-    @pytest.mark.parametrize("make", [HeapEventQueue, BucketEventQueue])
-    def test_depth_tracks_pending_entries(self, make):
-        queue = make()
+    def test_depth_tracks_pending_entries(self):
+        queue = EventQueue()
         for i in range(8):
             queue.post(float(i), i, "e", None)
         assert len(queue) == 8
@@ -94,9 +80,8 @@ class TestCancellation:
 
 
 class TestPeek:
-    @pytest.mark.parametrize("make", [HeapEventQueue, BucketEventQueue])
-    def test_peek_matches_next_pop(self, make):
-        queue = make()
+    def test_peek_matches_next_pop(self):
+        queue = EventQueue()
         for time, seq, kind in _random_stream(4, n=64):
             queue.post(time, seq, kind, None)
         while True:
@@ -106,9 +91,8 @@ class TestPeek:
             if popped is None:
                 return
 
-    @pytest.mark.parametrize("make", [HeapEventQueue, BucketEventQueue])
-    def test_peek_discards_dead_prefix(self, make):
-        queue = make()
+    def test_peek_discards_dead_prefix(self):
+        queue = EventQueue()
         dead = queue.post(1.0, 0, "dead", None)
         live = queue.post(2.0, 1, "live", None)
         queue.cancel(dead)
@@ -116,38 +100,7 @@ class TestPeek:
         assert queue.cancelled_skipped == 1
         assert queue.pop() is live
 
-    @pytest.mark.parametrize("make", [HeapEventQueue, BucketEventQueue])
-    def test_peek_empty(self, make):
-        queue = make()
+    def test_peek_empty(self):
+        queue = EventQueue()
         assert queue.peek() is None
         assert queue.pop() is None
-
-
-class TestFactory:
-    def test_auto_selects_heap_below_threshold(self):
-        queue = make_event_queue("auto", AUTO_BUCKET_MIN_INVOCATIONS - 1)
-        assert isinstance(queue, HeapEventQueue)
-
-    def test_auto_selects_bucket_at_threshold(self):
-        queue = make_event_queue("auto", AUTO_BUCKET_MIN_INVOCATIONS)
-        assert isinstance(queue, BucketEventQueue)
-
-    def test_explicit_backends(self):
-        assert isinstance(make_event_queue("heap", 10**9), HeapEventQueue)
-        assert isinstance(make_event_queue("bucket", 0), BucketEventQueue)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown event queue"):
-            make_event_queue("wheel", 0)
-
-    def test_bad_bucket_width_rejected(self):
-        with pytest.raises(ValueError, match="width must be positive"):
-            BucketEventQueue(width_us=0.0)
-
-    def test_bucket_occupancy_counters(self):
-        queue = BucketEventQueue(width_us=1.0)
-        for i in range(6):
-            queue.post(float(i // 3) * 10.0, i, "e", None)
-        _drain(queue)
-        assert queue.refills == 2
-        assert queue.bucket_occupancy_max == 3

@@ -1,0 +1,82 @@
+"""The golden corpus replayed through the references in ``tests/oracles/``.
+
+Every simulation pinned by ``data/sim_golden.json`` is run again with
+the rate oracle armed (each live flow at its from-scratch water-filled
+share after every solver pass), with the scalar-only and brute-force
+flow networks, and with per-instance schedule bookkeeping.  Each must
+reproduce the golden digest.
+"""
+
+import pytest
+
+from repro.runtime import Simulator
+from repro.runtime.flows import ABS_RATE_EPS
+from tests.oracles import rates
+from tests.test_determinism_golden import (
+    SIM_DIGESTS,
+    SIM_RUNS,
+    plan_for,
+    report_fingerprint,
+    sim_digest,
+)
+
+
+@pytest.fixture
+def solver(monkeypatch):
+    """Install a rate solver in every simulator; returns those it builds."""
+
+    def install(network_class):
+        built = []
+
+        class Recording(network_class):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(Simulator, "network_class", Recording)
+        return built
+
+    return install
+
+
+@pytest.mark.parametrize("name", sorted(SIM_RUNS))
+def test_rates_obey_water_filling(name, solver):
+    """After every solver pass each live flow runs at its from-scratch
+    water-filled share (``tests/oracles/rates.py``)."""
+    networks = solver(rates.RateOracleNetwork)
+    assert sim_digest(name) == SIM_DIGESTS[name]
+    assert sum(n.passes_checked for n in networks) > 0
+    assert max(n.max_error for n in networks) <= ABS_RATE_EPS
+
+
+@pytest.mark.parametrize(
+    "network_class",
+    [rates.ScalarFlowNetwork, rates.BruteForceFlowNetwork],
+    ids=["scalar", "brute-force"],
+)
+@pytest.mark.parametrize("name", sorted(SIM_RUNS))
+def test_reference_solvers_match_golden(name, network_class, solver):
+    solver(network_class)
+    assert sim_digest(name) == SIM_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SIM_RUNS))
+def test_per_instance_bookkeeping_matches_golden(name, monkeypatch):
+    monkeypatch.setattr(Simulator, "_send_meta", rates.send_meta_per_instance)
+    monkeypatch.setattr(
+        Simulator, "_recv_duration", rates.recv_duration_per_instance
+    )
+    assert sim_digest(name) == SIM_DIGESTS[name]
+
+
+def test_incremental_solver_computes_fewer_shares():
+    """The share cache saves work against the brute-force allocator."""
+    plan = plan_for("mesh-allreduce", 2, 8, 8)
+
+    class BruteForceSimulator(rates.PerInstanceSimulator):
+        network_class = rates.BruteForceFlowNetwork
+
+    fast = Simulator(plan).run()
+    slow = BruteForceSimulator(plan).run()
+    assert report_fingerprint(fast) == report_fingerprint(slow)
+    assert fast.counters.shares_computed < slow.counters.shares_computed

@@ -2,10 +2,10 @@
 
 The indexed implementations of dependency analysis (fused
 ``build_dag``), HPDS scheduling, and state-based TB allocation are
-*optimizations*, not approximations: for every input, a compile with
-``indexed_schedule=True`` must produce the exact same global pipeline,
-the exact same TB assignments, and the exact same rendered kernels as
-the reference implementations kept behind ``indexed_schedule=False``.
+*optimizations*, not approximations: for every input, the production
+compile must produce the exact same global pipeline, the exact same TB
+assignments, and the exact same rendered kernels as the literal
+reference implementations in ``tests/oracles/compile.py``.
 :func:`repro.core.compiler.compile_fingerprint` captures all of that.
 
 Coverage: every built-in algorithm over single- and multi-node
@@ -22,13 +22,14 @@ import pytest
 from repro.algorithms import available_algorithms, build_algorithm
 from repro.core import ResCCLBackend
 from repro.core.compiler import ResCCLCompiler, compile_fingerprint
-from repro.core.plancache import PlanCache
+from repro.core.kernelgen import lower_to_programs
 from repro.faults import CollectiveCheckpoint, build_resume_plan
 from repro.ir.task import Collective
 from repro.lang import parse_program
 from repro.runtime import MB, Simulator, simulate
 from repro.synth import TACCLSynthesizer, TECCLSynthesizer
 from repro.topology import Cluster
+from tests.oracles import compile as oracle
 
 CORPUS = sorted(
     (Path(__file__).resolve().parent.parent / "examples" / "algorithms").glob(
@@ -47,9 +48,7 @@ def cluster_for(program):
 def assert_identical_compile(program, cluster, scheduler="hpds"):
     """Compile both ways (no cache) and compare full fingerprints."""
     indexed = ResCCLCompiler(scheduler=scheduler).compile(program, cluster)
-    reference = ResCCLCompiler(
-        scheduler=scheduler, indexed_schedule=False
-    ).compile(program, cluster)
+    reference = oracle.compile_program(program, cluster, scheduler=scheduler)
     ranks = list(range(cluster.world_size))
     assert compile_fingerprint(indexed, kernel_ranks=ranks) == (
         compile_fingerprint(reference, kernel_ranks=ranks)
@@ -104,21 +103,6 @@ class TestSynthesized:
         assert_identical_compile(program, cluster)
 
 
-class TestPlanCacheSharing:
-    def test_modes_share_cache_entries(self):
-        """indexed_schedule is not part of the compile key: a reference
-        compile hits the entry an indexed compile populated."""
-        cluster = Cluster(nodes=2, gpus_per_node=4)
-        program = build_algorithm("ring-allreduce", cluster)
-        cache = PlanCache()
-        first = cache.compile(ResCCLCompiler(), program, cluster)
-        second = cache.compile(
-            ResCCLCompiler(indexed_schedule=False), program, cluster
-        )
-        assert second is first
-        assert cache.stats.hits == 1
-
-
 class TestDegradedReplan:
     def test_resume_plan_identical(self):
         """A degraded-cluster residual compile is bit-identical too.
@@ -127,7 +111,9 @@ class TestDegradedReplan:
         a DAG built straight from residual transfers on the degraded
         cluster — no DSL source, relay detours included — so it
         exercises fused analysis + indexed scheduling + indexed TB
-        allocation on inputs no full compile produces.
+        allocation on inputs no full compile produces.  The reference
+        stages rebuild the resume plan's DAG and TB programs from its
+        residual transfers.
         """
         from repro.faults import FaultInjector, FaultPlan, make_policy
         from repro.faults.recovery import ReplanRequested
@@ -151,12 +137,17 @@ class TestDegradedReplan:
         request = info.value
         ckpt = CollectiveCheckpoint.capture(request.sim, request.dead_edges)
 
-        fast = build_resume_plan(plan, ckpt, request.dead_edges)
-        slow = build_resume_plan(
-            plan, ckpt, request.dead_edges, indexed_schedule=False
+        resume = build_resume_plan(plan, ckpt, request.dead_edges)
+        resume_plan = resume.plan
+        dag = oracle.build_dag(
+            resume_plan.program.transfers, resume_plan.cluster
         )
-        assert [dataclasses.asdict(tb) for tb in fast.plan.tb_programs] == [
-            dataclasses.asdict(tb) for tb in slow.plan.tb_programs
+        assert dag.preds == resume_plan.dag.preds
+        assert dag.succs == resume_plan.dag.succs
+        assignments = oracle.allocate_tbs(
+            dag, oracle.hpds_schedule(dag), pipelining_allowance=1
+        )
+        tb_programs = lower_to_programs(assignments, 1, nwarps=16)
+        assert [dataclasses.asdict(tb) for tb in resume_plan.tb_programs] == [
+            dataclasses.asdict(tb) for tb in tb_programs
         ]
-        assert fast.metas == slow.metas
-        assert fast.residual_instances == slow.residual_instances

@@ -2,11 +2,16 @@
 
 import pytest
 
-from repro.core.hpds import _ChunkQueue, _priority_key, hpds_schedule
+from repro.core.hpds import _priority_key, hpds_schedule
 from repro.ir.dag import build_dag
 from repro.ir.task import Collective, CommType
 from repro.lang.builder import AlgoProgram
 from repro.topology import multi_node, single_node
+from tests.oracles.compile import ChunkQueue
+from tests.oracles.compile import hpds_schedule as reference_schedule
+
+#: The production scheduler and the literal Algorithm 1 reference.
+SCHEDULES = {"indexed": hpds_schedule, "reference": reference_schedule}
 
 
 def program_with(nranks, transfers, gpus_per_node=8):
@@ -20,7 +25,7 @@ def program_with(nranks, transfers, gpus_per_node=8):
 
 class TestChunkQueue:
     def test_priority_by_service_count(self):
-        queue = _ChunkQueue([0, 1, 2])
+        queue = ChunkQueue([0, 1, 2])
         flags = {0: True, 1: True, 2: True}
         assert queue.highest_with_flag(flags) == 0  # id tie-break
         queue.decrease(0)
@@ -30,24 +35,24 @@ class TestChunkQueue:
         assert queue.highest_with_flag(flags) == 0  # round completed
 
     def test_urgency_breaks_service_ties(self):
-        queue = _ChunkQueue([0, 1])
+        queue = ChunkQueue([0, 1])
         queue.set_urgency(1, 5)
         assert queue.highest_with_flag({0: True, 1: True}) == 1
 
     def test_service_count_dominates_urgency(self):
-        queue = _ChunkQueue([0, 1])
+        queue = ChunkQueue([0, 1])
         queue.set_urgency(0, 100)
         queue.decrease(0)
         assert queue.highest_with_flag({0: True, 1: True}) == 1
 
     def test_flags_filter(self):
-        queue = _ChunkQueue([0, 1, 2])
+        queue = ChunkQueue([0, 1, 2])
         assert queue.highest_with_flag({0: False, 1: False, 2: True}) == 2
         assert queue.highest_with_flag({0: False, 1: False, 2: False}) == -1
 
     def test_priority_key_ordering(self):
-        """The single priority definition both modes share: min-key over
-        (served, -urgency, chunk)."""
+        """The single priority definition both schedulers share: min-key
+        over (served, -urgency, chunk)."""
         # Fewer services wins regardless of urgency...
         assert _priority_key(0, 0, 9) < _priority_key(1, 100, 0)
         # ...then higher urgency...
@@ -56,9 +61,9 @@ class TestChunkQueue:
         assert _priority_key(1, 5, 3) < _priority_key(1, 5, 4)
 
 
-@pytest.mark.parametrize("indexed", [True, False], ids=["indexed", "reference"])
+@pytest.mark.parametrize("schedule", ["indexed", "reference"])
 class TestLinkArbitration:
-    def test_earlier_step_task_claims_contested_link_first(self, indexed):
+    def test_earlier_step_task_claims_contested_link_first(self, schedule):
         """Two ready tasks of different chunks share one link; the
         earlier-step one must come first in the schedule."""
         cluster = single_node(4)
@@ -74,7 +79,7 @@ class TestLinkArbitration:
             gpus_per_node=4,
         )
         dag = build_dag(program.transfers, cluster)
-        pipeline = hpds_schedule(dag, indexed=indexed)
+        pipeline = SCHEDULES[schedule](dag)
         early = next(
             t.task_id for t in dag.tasks if t.step == 1 and t.src == 0
         )
@@ -83,7 +88,7 @@ class TestLinkArbitration:
         )
         assert pipeline.order_key(early) < pipeline.order_key(late)
 
-    def test_urgent_chains_prioritized(self, indexed):
+    def test_urgent_chains_prioritized(self, schedule):
         """Among equally-served chunks, the one heading a longer chain
         is scheduled first."""
         cluster = single_node(8)
@@ -95,7 +100,7 @@ class TestLinkArbitration:
             )
         program = program_with(8, transfers)
         dag = build_dag(program.transfers, cluster)
-        pipeline = hpds_schedule(dag, indexed=indexed)
+        pipeline = SCHEDULES[schedule](dag)
         chain_root = next(
             t.task_id for t in dag.tasks if t.chunk == 7 and t.step == 0
         )
@@ -105,23 +110,23 @@ class TestLinkArbitration:
         # The chain head outranks the isolated hop in the first wavefront.
         assert pipeline.order_key(chain_root) < pipeline.order_key(single_hop)
 
-    def test_deferred_task_scheduled_in_later_subpipeline(self, indexed):
+    def test_deferred_task_scheduled_in_later_subpipeline(self, schedule):
         """The link guard defers, never drops: everything still lands."""
         cluster = multi_node(2, 4)
         from repro.algorithms import hm_allreduce
 
         dag = build_dag(hm_allreduce(2, 4).transfers, cluster)
-        pipeline = hpds_schedule(dag, indexed=indexed)
+        pipeline = SCHEDULES[schedule](dag)
         pipeline.check_complete(dag)
 
-    def test_inter_link_step_order_preserved(self, indexed):
+    def test_inter_link_step_order_preserved(self, schedule):
         """On a shared NIC link, scheduled order follows step order for
         ready tasks (the Figure-5 inversion bug regression test)."""
         cluster = multi_node(2, 4)
         from repro.algorithms import hm_allreduce
 
         dag = build_dag(hm_allreduce(2, 4).transfers, cluster)
-        pipeline = hpds_schedule(dag, indexed=indexed)
+        pipeline = SCHEDULES[schedule](dag)
         for link, task_ids in dag.link_tasks.items():
             if not link.startswith("nic"):
                 continue

@@ -11,6 +11,7 @@ from repro.ir import (
 )
 from repro.lang.builder import AlgoProgram
 from repro.topology import multi_node, single_node
+from tests.oracles import compile as oracle
 
 
 def _t(src, dst, step, chunk, op=CommType.RECV):
@@ -161,13 +162,13 @@ class TestFusedEquivalence:
 
     def _edge_log(self, transfers, cluster, fused):
         log = []
-        dag = build_dag(transfers, cluster, fused=fused)
-        # Reconstruct the DAG with a recording add_edge to capture order.
-        from repro.ir.dag import (
-            DependencyDAG,
-            _hazard_edges_fused,
-            _hazard_edges_reference,
+        dag = (
+            build_dag(transfers, cluster)
+            if fused
+            else oracle.build_dag(transfers, cluster)
         )
+        # Reconstruct the DAG with a recording add_edge to capture order.
+        from repro.ir.dag import DependencyDAG, _hazard_edges
 
         recorder = DependencyDAG(dag.tasks)
         original = recorder.add_edge
@@ -177,7 +178,7 @@ class TestFusedEquivalence:
             original(producer, consumer)
 
         recorder.add_edge = record
-        hazard = _hazard_edges_fused if fused else _hazard_edges_reference
+        hazard = _hazard_edges if fused else oracle.hazard_edges
         hazard(recorder, dag.tasks)
         return dag, log
 
@@ -211,8 +212,8 @@ class TestFusedEquivalence:
             _t(2, 1, 3, 0, CommType.RRC),
             _t(1, 3, 5, 1),
         ]
-        fused = build_dag(transfers, cluster, fused=True)
-        reference = build_dag(transfers, cluster, fused=False)
+        fused = build_dag(transfers, cluster)
+        reference = oracle.build_dag(transfers, cluster)
         assert fused.preds == reference.preds
         assert fused.succs == reference.succs
 

@@ -62,10 +62,6 @@ class TestSimConfigValidation:
             ("watchdog_window_us", -1.0),
             ("rate_rel_epsilon", -1e-9),
             ("fault_trace_cap", -1),
-            ("vectorize_min_flows", -1),
-            ("event_queue", "splay"),
-            ("event_bucket_width_us", 0.0),
-            ("event_bucket_width_us", -64.0),
         ],
     )
     def test_bad_field_rejected_on_construction(self, field, bad):

@@ -12,6 +12,7 @@ from repro.core import (
 from repro.ir.dag import build_dag
 from repro.runtime.plan import Side
 from repro.topology import multi_node, single_node
+from tests.oracles import compile as oracle
 
 
 def compiled(program, cluster):
@@ -143,10 +144,10 @@ class TestIndexedEquivalence:
         ]:
             dag, pipeline = compiled(program, cluster)
             indexed = allocate_tbs(
-                dag, pipeline, pipelining_allowance=allowance, indexed=True
+                dag, pipeline, pipelining_allowance=allowance
             )
-            reference = allocate_tbs(
-                dag, pipeline, pipelining_allowance=allowance, indexed=False
+            reference = oracle.allocate_tbs(
+                dag, pipeline, pipelining_allowance=allowance
             )
             assert self._fingerprint(indexed) == self._fingerprint(reference)
 
