@@ -6,8 +6,8 @@ earliest-wins lazy invalidation + batched simultaneous-finish re-rates +
 micro-batch aggregation) against the pre-scale-out discipline (scalar
 rates, per-instance bookkeeping, eager repost-every-change
 invalidation), rebuilt from the reference classes in
-``tests/oracles/rates.py``.  Writes ``BENCH_sim_scale.json`` at the repo
-root for CI diffing.
+``tests/oracles/rates.py`` and ``tests/oracles/eager.py``.  Writes
+``BENCH_sim_scale.json`` at the repo root for CI diffing.
 
 Asserted acceptance shape:
 
@@ -47,6 +47,7 @@ from repro.core import ResCCLBackend
 from repro.runtime.metrics import SimCounters
 from repro.runtime.simulator import Simulator, simulate
 from repro.topology import Cluster
+from tests.oracles.eager import EagerSimulator
 from tests.oracles.rates import PerInstanceSimulator, ScalarFlowNetwork
 
 OUT = Path(__file__).resolve().parent.parent / "BENCH_sim_scale.json"
@@ -70,27 +71,20 @@ MAX_SCALING_EXPONENT = 1.35
 MAX_FAST_REL_ERROR = 0.15
 
 #: The pre-scale-out simulator discipline: scalar re-rater (network),
-#: per-instance micro-batch bookkeeping (simulator), and eager
-#: repost-every-rate-change event invalidation (config).
+#: per-instance micro-batch bookkeeping, and eager
+#: repost-every-rate-change event invalidation (simulator).
 BASELINE = dict(
     network="ScalarFlowNetwork",
-    simulator="PerInstanceSimulator",
-    lazy_invalidation=False,
+    simulator=["EagerSimulator", "PerInstanceSimulator"],
 )
 
 
-class _BaselineSimulator(PerInstanceSimulator):
+class _BaselineSimulator(EagerSimulator, PerInstanceSimulator):
     network_class = ScalarFlowNetwork
 
 
 def _baseline(plan):
-    return _BaselineSimulator(_with_config(plan, lazy_invalidation=False)).run()
-
-
-def _with_config(plan, **overrides):
-    return dataclasses.replace(
-        plan, config=dataclasses.replace(plan.config, **overrides)
-    )
+    return _BaselineSimulator(plan).run()
 
 
 def _fingerprint(report):

@@ -281,14 +281,10 @@ class RetryBackoffPolicy(RecoveryPolicy):
 
     def _readmit(self, sim, retry_id: int, entry: _PendingRetry) -> None:
         del self._pending[retry_id]
-        task = sim.dag.task(entry.task_id)
-        route = sim.cluster.path(task.src, task.dst)
-        start = sim.now + route.latency_us * sim.config.protocol.latency_factor
-        flow, changed = sim.network.start_flow(
-            edges=route.edges, nbytes=entry.remaining, cap=entry.cap,
-            now=start,
+        sim.post_send(
+            entry.task_id, entry.mb, entry.sender, entry.edges,
+            entry.remaining, entry.cap,
         )
-        sim.register_flow(flow, changed, entry.task_id, entry.mb, entry.sender)
         if sim.fault_stats is not None:
             sim.fault_stats.recovered += 1
             sim.fault_stats.recovery_latencies_us.append(

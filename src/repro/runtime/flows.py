@@ -19,6 +19,11 @@ flows is redistributed among the uncapped flows of each edge (one
 water-filling round per edge), which keeps rate updates local to the
 edges a starting/finishing flow touches.
 
+The network keeps one monotone clock: every call passes the caller's
+current time, and a call at an earlier time than the latest one raises
+``ValueError``.  A flow joins at the instant its first byte moves, so no
+flow ever holds a share ahead of the clock.
+
 Incremental solver
 ------------------
 
@@ -74,7 +79,8 @@ class Flow:
         edges: contention edges the flow occupies for its whole lifetime.
         nbytes: payload size.
         cap: per-flow rate ceiling from the sending TB (bytes/us).
-        start_time: when the flow was admitted (after path latency).
+        start_time: when the flow joined the network: the instant its
+            first byte moved, one route latency after the send posted.
         remaining: bytes still to move (updated lazily).
         rate: current allocated rate (bytes/us).
         last_update: sim time at which ``remaining`` was last reconciled.
@@ -144,6 +150,8 @@ class FlowNetwork:
         # edge's membership or derating factor changes.
         self._share: Dict[str, float] = {}
         self._next_id = 0
+        # Latest time the network was called with (see _tick).
+        self._clock = -float("inf")
         self._rate_rel_epsilon = rate_rel_epsilon
         # Dense edge ids (insertion order of the capacity map, which is
         # deterministic) and per-flow cached edge-index arrays: the
@@ -217,6 +225,7 @@ class FlowNetwork:
         """
         if edge not in self._capacity:
             raise KeyError(f"unknown contention edge {edge!r}")
+        self._tick(now)
         if factor >= 1.0:
             self._factor.pop(edge, None)
         else:
@@ -231,18 +240,18 @@ class FlowNetwork:
         nbytes: float,
         cap: float,
         now: float,
-        ordered: bool = True,
     ) -> Tuple[Flow, List[Flow]]:
-        """Admit a flow; returns it plus every flow whose rate changed.
+        """Admit a flow at ``now``; returns it plus every flow whose rate
+        changed.
 
-        ``ordered=False`` skips the deterministic flow-id sort of the
-        changed list — for callers that do not consume the list's order
-        (the simulator's earliest-wins event discipline never reposts on
-        an admission, since peer rates only ever drop).
+        The changed list is in no particular order: an admission only
+        ever lowers its peers' rates, so the simulator reposts nothing
+        from it.
         """
         for edge in edges:
             if edge not in self._capacity:
                 raise KeyError(f"unknown contention edge {edge!r}")
+        self._tick(now)
         flow = Flow(
             flow_id=self._next_id,
             edges=tuple(edges),
@@ -284,8 +293,6 @@ class FlowNetwork:
             else:
                 lst.append(slot)
         self.flows_admitted += 1
-        if ordered:
-            return flow, self._reallocate(flow.edges, now)
         return flow, self._rerate_admission(flow, now)
 
     def finish_flow(
@@ -301,6 +308,7 @@ class FlowNetwork:
         passes between them, so the intermediate rates are observable
         by nothing).
         """
+        self._tick(now)
         flow.advance_to(now)
         del self._flows[flow.flow_id]
         del self._flow_edge_idx[flow.flow_id]
@@ -333,6 +341,7 @@ class FlowNetwork:
         it, and the post sequence must not depend on the solver's
         internal iteration order.
         """
+        self._tick(now)
         return self._reallocate(edges, now)
 
     def abort_flow(self, flow: Flow, now: float) -> List[Flow]:
@@ -362,6 +371,20 @@ class FlowNetwork:
         return census
 
     # ------------------------------------------------------------------
+
+    def _tick(self, now: float) -> None:
+        """Advance the network clock to ``now``; it never runs backwards.
+
+        A re-rated flow is reconciled up to the time of the call, so a
+        call at an earlier time than the latest one would re-rate flows
+        from a point they may already have passed.
+        """
+        if now < self._clock:
+            raise ValueError(
+                f"flow network called at t={now!r}us after "
+                f"t={self._clock!r}us: its clock is monotone"
+            )
+        self._clock = now
 
     def _edge_share(self, edge: str) -> float:
         """Per-flow share on one edge after one water-filling round.

@@ -127,20 +127,6 @@ class SimConfig:
             1e-12 floor and is bit-exact; non-zero values are an opt-in
             approximation for very large fabrics (the ``fast`` fidelity
             preset sets 1e-3).
-        lazy_invalidation: cancel a superseded flow-completion event in
-            place in the queue (the default), so it is skipped without a
-            dispatch.  ``False`` selects the eager discipline: every
-            rate change reposts the flow's completion event, and stale
-            events are dispatched and recognised by a version check.
-            The two admit the same flows, move the same bytes and
-            complete the same instances, but compute completion ETAs at
-            different instants and may tie-break simultaneous
-            completions differently, so they are not bit-identical.
-            The tested tolerance is completion time within 2% on ring
-            and mesh AllReduce at 2x4
-            (``test_eager_invalidation_same_completion``); off those
-            cells the gap is larger — lazy is 7.7% slower on
-            hm-allgather at 4x8 — and still under investigation.
         collapse_microbatches: *fast-fidelity* temporal aggregation —
             collapse each task's micro-batch run into one representative
             instance carrying the whole payload, then fan the report
@@ -157,7 +143,6 @@ class SimConfig:
     watchdog_window_us: float = 2000.0
     fault_trace_cap: int = 4096
     rate_rel_epsilon: float = 0.0
-    lazy_invalidation: bool = True
     collapse_microbatches: bool = False
 
     def __post_init__(self) -> None:

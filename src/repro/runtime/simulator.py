@@ -160,17 +160,12 @@ class Simulator:
         self.counters = SimCounters()
         self._queue = EventQueue()
         self._seq = itertools.count()
-        # Lazy invalidation (default): the live completion-event entry of
-        # each flow is tracked in `_flow_cell` and cancelled in place
-        # when a re-rate supersedes it, so stale events are skipped
-        # inside the queue without a dispatch.  With
-        # ``lazy_invalidation=False`` (the eager discipline) stale events
-        # are dispatched and recognised by a per-flow version check
-        # instead.
-        self._lazy_inval = self.config.lazy_invalidation
+        # The live completion-event entry of each flow, cancelled in
+        # place when a re-rate supersedes it, so stale events are
+        # skipped inside the queue without a dispatch.
         self._flow_cell: Dict[int, list] = {}
-        # Batched finish re-rates (lazy mode): edges whose membership
-        # changed at `self.now` but whose reallocation is still pending.
+        # Batched finish re-rates: edges whose membership changed at
+        # `self.now` but whose reallocation is still pending.
         # Simultaneous completions — pervasive in symmetric collectives —
         # then share one re-rate pass and one repost wave.  The batch is
         # flushed before the clock advances, before any non-flow event,
@@ -231,7 +226,6 @@ class Simulator:
 
         # Active flows: flow_id -> (flow, task_id, mb, sender tb index).
         self._flows: Dict[int, Tuple[Flow, int, int, int]] = {}
-        self._flow_version: Dict[int, int] = {}
 
         # Completed (task, mb) invocations in completion order — lets
         # callers replay the dynamic schedule through the symbolic
@@ -265,7 +259,8 @@ class Simulator:
         self._last_progress_us = self.now
         self._watchdog_seen_counter = -1
         self._stall_reported = False
-        self._tb_timers = 0  # pending "tb" wakeups (overhead / unfreeze)
+        # Pending "tb" wakeups (overhead / unfreeze) and "admit" joins.
+        self._timers = 0
         self._frozen: Dict[int, float] = {}  # tb_index -> stall end time
         self._frozen_posted: Set[int] = set()
         #: Stall episodes the watchdog detected (also without an injector).
@@ -289,8 +284,8 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def _post(self, time: float, kind: str, payload: object) -> list:
-        if kind == "tb":
-            self._tb_timers += 1
+        if kind == "tb" or kind == "admit":
+            self._timers += 1
         self.counters.events_posted += 1
         return self._queue.post(time, next(self._seq), kind, payload)
 
@@ -365,11 +360,14 @@ class Simulator:
             if time > self.now:
                 self.now = time
             if kind == "tb":
-                self._tb_timers -= 1
+                self._timers -= 1
                 tb = self.tbs[payload]  # type: ignore[index]
                 self._advance(tb)
             elif kind == "flow":
                 self._maybe_finish_flow(payload)
+            elif kind == "admit":
+                self._timers -= 1
+                self._admit(payload)
             elif kind == "recv_copy":
                 self._recv_copy_elapsed(payload)  # type: ignore[arg-type]
             elif kind == "watchdog":
@@ -531,38 +529,11 @@ class Simulator:
         return duration
 
     def _start_flow(self, tb: _TB, inv: Invocation, task) -> None:
-        if self._dirty_edges:
-            # A same-instant completion's re-rate is still deferred; the
-            # admission below must see reconciled memberships and rates.
-            self._flush_rerate()
         edges, cap = self._send_meta(tb, inv.task_id, task)
-        flow, changed = self.network.start_flow(
-            edges=edges,
-            nbytes=self.plan.chunk_bytes,
-            cap=cap,
-            now=self.now + self._route_latency(inv.task_id, task),
-            ordered=not self._lazy_inval,
-        )
-        self._flows[flow.flow_id] = (flow, inv.task_id, inv.mb, tb.index)
-        if not self._lazy_inval:
-            self._flow_version[flow.flow_id] = 0
         tb.phase = _INFLIGHT
-        self._progress()
-        self._link_enter(task.link)
-        self._post_flow_eta(flow)
-        if not self._lazy_inval:
-            # Eager discipline: every peer rate change reposts.
-            for other in changed:
-                if other.flow_id != flow.flow_id:
-                    self._post_flow_eta(other)
-        # Earliest-wins discipline: an admission can only *lower* its
-        # peers' rates — adding demand never raises a water-filled edge
-        # share (the released-cap gain is bounded by the old equal share,
-        # so the new share is a mediant below the old one, and the
-        # Equation 1 contention penalty only pushes further down).  Every
-        # peer ETA therefore moved later, and each peer's pending
-        # completion event already fires at-or-before it, so no peer
-        # needs a repost check at all.
+        self.post_send(
+            inv.task_id, inv.mb, tb.index, edges, self.plan.chunk_bytes, cap
+        )
         # The receiver may begin its overlapped copy as soon as the stream
         # is in flight (recvCopySend semantics).
         key = (inv.task_id, inv.mb)
@@ -570,6 +541,56 @@ class Simulator:
         waiter = self._data_waiters.pop(key, None)
         if waiter is not None:
             self._advance(self.tbs[waiter])
+
+    def post_send(
+        self,
+        task_id: int,
+        mb: int,
+        sender_index: int,
+        edges: Tuple[str, ...],
+        nbytes: float,
+        cap: float,
+    ) -> None:
+        """Post a send whose flow joins the network at its first byte.
+
+        The one admission step for every payload flow, first
+        transmissions and recovery retransmits alike.  The first byte
+        reaches the fabric one route latency α after the send posts, so
+        the flow gains edge membership, a share and a rate at
+        ``now + α`` — through an ``admit`` event when α > 0, at once
+        when α = 0 — and holds no share during α.  The flow network is
+        therefore only ever called at the simulator's current time.
+        """
+        task = self.dag.task(task_id)
+        self._progress()
+        self._link_enter(task.link)
+        send = (task_id, mb, sender_index, edges, nbytes, cap)
+        latency = self._route_latency(task_id, task)
+        if latency > 0.0:
+            self._post(self.now + latency, "admit", send)
+        else:
+            self._admit(send)
+
+    def _admit(self, send) -> None:
+        """Join a posted send's flow to the network at ``self.now``.
+
+        An admission can only *lower* its peers' rates — adding demand
+        never raises a water-filled edge share (the released-cap gain is
+        bounded by the old equal share, so the new share is a mediant
+        below the old one, and the Equation 1 contention penalty only
+        pushes further down).  Every peer ETA therefore moved later, and
+        each peer's pending completion event already fires at-or-before
+        it (earliest-wins, see :meth:`_post_flow_eta`), so no peer needs
+        a repost.
+        """
+        if self._dirty_edges:
+            # A same-instant completion's re-rate is still deferred; the
+            # admission must see reconciled memberships and rates.
+            self._flush_rerate()
+        task_id, mb, sender_index, edges, nbytes, cap = send
+        flow, _ = self.network.start_flow(edges, nbytes, cap, self.now)
+        self._flows[flow.flow_id] = (flow, task_id, mb, sender_index)
+        self._post_flow_eta(flow)
 
     def _flush_rerate(self) -> None:
         """Apply the deferred finish re-rates and repost changed ETAs."""
@@ -582,116 +603,82 @@ class Simulator:
             self._post_flow_eta(other)
 
     def _post_flow_eta(self, flow: Flow) -> None:
-        flow_id = flow.flow_id
-        if self._lazy_inval:
-            # Earliest-wins discipline: a completion event is (re)posted
-            # only when the flow's ETA moved *earlier* than the pending
-            # event (or none is pending).  When a rate drop moves the ETA
-            # later, the pending event is kept — it wakes early, finds
-            # the flow unfinished, and reposts itself at the then-current
-            # ETA (see :meth:`_maybe_finish_flow`).  Admission waves,
-            # which only ever slow their peers down, therefore post
-            # nothing at all.  A superseded (later-firing) event is
-            # cancelled in place (``cell[4] = False`` inlines
-            # ``EventQueue.cancel`` — this is the hottest call site in
-            # the simulator) and skipped inside the queue.
-            eta = flow.eta()
-            cell = self._flow_cell.get(flow_id)
-            if cell is not None:
-                if cell[0] <= eta:
-                    return
-                cell[4] = False
-            if eta != _INF:
-                if eta < self.now:
-                    eta = self.now
-                self.counters.events_posted += 1
-                self._flow_cell[flow_id] = self._queue.post(
-                    eta, next(self._seq), "flow", flow_id
-                )
-            elif cell is not None:
-                del self._flow_cell[flow_id]
-        else:
-            # Eager discipline: every rate change bumps the flow's
-            # version and posts a fresh event at the new ETA; superseded
-            # events stay live in the queue and are recognised at
-            # dispatch by their stale version.  ETAs are computed at
-            # different instants than under earliest-wins and
-            # simultaneous completions may tie-break differently, so
-            # the two disciplines agree only within the tolerance stated
-            # on ``SimConfig.lazy_invalidation``.
-            version = self._flow_version.get(flow_id, 0) + 1
-            self._flow_version[flow_id] = version
-            eta = flow.eta()
-            if eta != _INF:
-                if eta < self.now:
-                    eta = self.now
-                self.counters.events_posted += 1
-                self._queue.post(
-                    eta, next(self._seq), "flow", (flow_id, version)
-                )
+        """Earliest-wins discipline: a completion event is (re)posted
+        only when the flow's ETA moved *earlier* than the pending event
+        (or none is pending).
 
-    def _maybe_finish_flow(self, payload) -> None:
-        if type(payload) is tuple:
-            # Eager (versioned) discipline: payload carries the version
-            # current when the event was posted.
-            flow_id, version = payload
-            if self._flow_version.get(flow_id) != version:
-                # A superseded (version-bumped) flow event: skip without
-                # touching any state.
-                self.counters.stale_events_skipped += 1
+        When a rate drop moves the ETA later, the pending event is kept
+        — it wakes early, finds the flow unfinished, and reposts itself
+        at the then-current ETA (see :meth:`_maybe_finish_flow`).
+        Admissions, which only ever slow their peers down, therefore
+        post nothing for them.  A superseded (later-firing) event is
+        cancelled in place (``cell[4] = False`` inlines
+        ``EventQueue.cancel`` — this is the hottest call site in the
+        simulator) and skipped inside the queue.  The eager reference
+        discipline, which reposts on every rate change, lives in
+        ``tests/oracles/eager.py``.
+        """
+        flow_id = flow.flow_id
+        eta = flow.eta()
+        cell = self._flow_cell.get(flow_id)
+        if cell is not None:
+            if cell[0] <= eta:
                 return
-        else:
-            flow_id = payload
+            cell[4] = False
+        if eta != _INF:
+            if eta < self.now:
+                eta = self.now
+            self.counters.events_posted += 1
+            self._flow_cell[flow_id] = self._queue.post(
+                eta, next(self._seq), "flow", flow_id
+            )
+        elif cell is not None:
+            del self._flow_cell[flow_id]
+
+    def _maybe_finish_flow(self, flow_id: int) -> None:
         entry = self._flows.get(flow_id)
         if entry is None:
-            # An already-torn-down flow (with lazy invalidation this is
-            # purely defensive — cancelled cells never dispatch).
+            # An already-torn-down flow (purely defensive — cancelled
+            # cells never dispatch).
             self.counters.stale_events_skipped += 1
             return
-        flow, task_id, mb, sender_index = entry
-        if self._lazy_inval:
-            # Early-wakeup check WITHOUT reconciling the flow: the
-            # remaining-bytes expression below is the same float
-            # arithmetic ``advance_to`` would apply, so the completion
-            # decision is bit-identical to reconcile-then-test, but a
-            # kept-early event does not perturb the flow's
-            # ``(remaining, last_update)`` reduction sequence.
-            rate = flow.rate
-            remaining = flow.remaining
-            if self.now > flow.last_update and rate > 0.0:
-                remaining = remaining - rate * (self.now - flow.last_update)
-            if remaining > _EPS:
-                # The rate dropped since this event was posted: the flow
-                # is not done.  Consume the cell, reconcile any deferred
-                # same-instant re-rate (it may have raised this flow's
-                # rate), and repost at the current ETA.
-                self._flow_cell.pop(flow_id, None)
-                if self._dirty_edges:
-                    self._flush_rerate()
-                self._post_flow_eta(flow)
-                return
-            flow.advance_to(self.now)
-        else:
-            flow.advance_to(self.now)
-            if flow.remaining > _EPS:
-                self._post_flow_eta(flow)
-                return
+        flow = entry[0]
+        # Early-wakeup check WITHOUT reconciling the flow: the
+        # remaining-bytes expression below is the same float arithmetic
+        # ``advance_to`` would apply, so the completion decision is
+        # bit-identical to reconcile-then-test, but a kept-early event
+        # does not perturb the flow's ``(remaining, last_update)``
+        # reduction sequence.
+        rate = flow.rate
+        remaining = flow.remaining
+        if self.now > flow.last_update and rate > 0.0:
+            remaining = remaining - rate * (self.now - flow.last_update)
+        if remaining > _EPS:
+            # The rate dropped since this event was posted: the flow is
+            # not done.  Consume the cell, reconcile any deferred
+            # same-instant re-rate (it may have raised this flow's rate),
+            # and repost at the current ETA.
+            self._flow_cell.pop(flow_id, None)
+            if self._dirty_edges:
+                self._flush_rerate()
+            self._post_flow_eta(flow)
+            return
+        flow.advance_to(self.now)
         del self._flows[flow_id]
-        self._flow_version.pop(flow_id, None)
         self._flow_cell.pop(flow_id, None)
-        if self._lazy_inval:
-            # Defer the reallocation: simultaneous completions (the
-            # common case in symmetric collectives) share one re-rate
-            # pass and one repost wave, flushed before any rate is read.
-            self.network.finish_flow(flow, self.now, rerate=False)
-            dirty = self._dirty_edges
-            for edge in flow.edges:
-                dirty[edge] = None
-        else:
-            changed = self.network.finish_flow(flow, self.now)
-            for other in changed:
-                self._post_flow_eta(other)
+        # Defer the reallocation: simultaneous completions (the common
+        # case in symmetric collectives) share one re-rate pass and one
+        # repost wave, flushed before any rate is read.
+        self.network.finish_flow(flow, self.now, rerate=False)
+        dirty = self._dirty_edges
+        for edge in flow.edges:
+            dirty[edge] = None
+        self._send_done(*entry)
 
+    def _send_done(
+        self, flow: Flow, task_id: int, mb: int, sender_index: int
+    ) -> None:
+        """The last byte of a send landed: retire it on both sides."""
         task = self.dag.task(task_id)
         self._link_exit(task.link, flow.nbytes)
 
@@ -836,10 +823,10 @@ class Simulator:
 
         Quiescence + an unchanged progress counter across a watchdog
         window is the stall condition: every payload flow is rate-zero,
-        no receiver copy clock is running, and no TB timer (control
-        overhead or injected-stall wakeup) is pending.
+        no receiver copy clock is running, and no timer (control
+        overhead, injected-stall wakeup or flow admission) is pending.
         """
-        if self._tb_timers > 0:
+        if self._timers > 0:
             return False
         for flow, _task, _mb, _tb in self._flows.values():
             if flow.rate > 0.0:
@@ -953,11 +940,10 @@ class Simulator:
         """Tear down an in-flight flow (fault recovery retransmit path).
 
         Returns ``(flow, task_id, mb, sender_tb_index)``; the sender TB
-        stays in-flight and resumes when the flow is re-admitted via
-        :meth:`register_flow`.
+        stays in-flight and resumes when the remaining bytes are posted
+        again via :meth:`post_send`.
         """
         flow, task_id, mb, sender_index = self._flows.pop(flow_id)
-        self._flow_version.pop(flow_id, None)
         cell = self._flow_cell.pop(flow_id, None)
         if cell is not None:
             self._queue.cancel(cell)
@@ -966,21 +952,6 @@ class Simulator:
         task = self.dag.task(task_id)
         self._link_exit(task.link, flow.nbytes - flow.remaining)
         return flow, task_id, mb, sender_index
-
-    def register_flow(
-        self, flow: Flow, changed: List[Flow], task_id: int, mb: int,
-        sender_index: int,
-    ) -> None:
-        """Adopt a re-admitted flow started directly on the network."""
-        self._flows[flow.flow_id] = (flow, task_id, mb, sender_index)
-        if not self._lazy_inval:
-            self._flow_version[flow.flow_id] = 0
-        self._link_enter(self.dag.task(task_id).link)
-        self._progress()
-        self._post_flow_eta(flow)
-        for other in changed:
-            if other.flow_id != flow.flow_id:
-                self._post_flow_eta(other)
 
     def on_edge_restored(self, edge: str) -> None:
         """Called by the injector when a downed edge comes back up."""
@@ -1023,8 +994,8 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def _completion_time(self) -> float:
-        # Completion is when the last TB retires; stale (version-
-        # invalidated) flow events may leave self.now slightly past that.
+        # Completion is when the last TB retires; a watchdog tick may
+        # leave self.now past that.
         return max(
             (tb.stats.release_time for tb in self.tbs), default=self.now
         )
@@ -1042,8 +1013,8 @@ class Simulator:
         counters.scalar_passes = network.scalar_passes
         queue = self._queue
         # Cancelled (superseded) entries never dispatched; fold them into
-        # the pop/stale totals so the counters keep the eager
-        # semantics: every posted event is either dispatched or skipped.
+        # the pop/stale totals so every posted event counts as either
+        # dispatched or skipped.
         counters.events_popped += queue.cancelled_skipped
         counters.stale_events_skipped += queue.cancelled_skipped
         counters.queue_depth_max = queue.depth_max

@@ -8,5 +8,7 @@ benchmarks compare against them:
   linear-scan best-fit TB merge, and the two-level hazard analysis;
 * :mod:`tests.oracles.rates` — the per-pass water-filling invariant of
   the rate solver, plus scalar-only and brute-force flow networks and a
-  simulator that recomputes schedule metadata per instance.
+  simulator that recomputes schedule metadata per instance;
+* :mod:`tests.oracles.eager` — the eager event discipline, which
+  reposts a flow's completion event on every rate change.
 """

@@ -118,3 +118,42 @@ class TestFlowBookkeeping:
     def test_zero_rate_eta_is_infinite(self):
         flow = Flow(flow_id=0, edges=("a",), nbytes=100.0, cap=10.0, start_time=0.0)
         assert flow.eta() == float("inf")
+
+
+class TestMonotoneClock:
+    """Every call passes the caller's current time; time never runs back."""
+
+    def test_peer_finish_before_a_future_admission_raises(self):
+        # A send posted at t over a route with latency alpha must not
+        # join at t + alpha while a peer still finishes at t.
+        net = make_network()
+        t, alpha = 10.0, 7.5
+        peer, _ = net.start_flow(("a",), 1000.0, cap=1e9, now=0.0)
+        net.start_flow(("a",), 1000.0, cap=1e9, now=t + alpha)
+        with pytest.raises(ValueError, match="monotone"):
+            net.finish_flow(peer, now=t)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda net, flow: net.start_flow(("b",), 1.0, cap=1.0, now=1.0),
+            lambda net, flow: net.finish_flow(flow, now=1.0),
+            lambda net, flow: net.rerate_edges(("a",), now=1.0),
+            lambda net, flow: net.set_capacity_factor("a", 0.5, now=1.0),
+        ],
+        ids=["start_flow", "finish_flow", "rerate_edges", "set_capacity_factor"],
+    )
+    def test_every_entry_point_rejects_an_earlier_time(self, call):
+        net = make_network()
+        flow, _ = net.start_flow(("a",), 1000.0, cap=1e9, now=0.0)
+        net.rerate_edges(("a",), now=2.0)
+        with pytest.raises(ValueError, match="monotone"):
+            call(net, flow)
+
+    def test_same_instant_calls_are_allowed(self):
+        net = make_network()
+        f1, _ = net.start_flow(("a",), 1000.0, cap=1e9, now=3.0)
+        f2, _ = net.start_flow(("a",), 1000.0, cap=1e9, now=3.0)
+        net.finish_flow(f1, now=3.0, rerate=False)
+        net.rerate_edges(f1.edges, now=3.0)
+        assert f2.rate == pytest.approx(100.0)

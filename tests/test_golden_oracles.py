@@ -4,7 +4,8 @@ Every simulation pinned by ``data/sim_golden.json`` is run again with
 the rate oracle armed (each live flow at its from-scratch water-filled
 share after every solver pass), with the scalar-only and brute-force
 flow networks, and with per-instance schedule bookkeeping.  Each must
-reproduce the golden digest.
+reproduce the golden digest.  One more replay checks that the flow
+network is only ever called at the simulator's current time.
 """
 
 import pytest
@@ -67,6 +68,29 @@ def test_per_instance_bookkeeping_matches_golden(name, monkeypatch):
         Simulator, "_recv_duration", rates.recv_duration_per_instance
     )
     assert sim_digest(name) == SIM_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SIM_RUNS))
+def test_network_runs_on_the_simulator_clock(name, monkeypatch):
+    """Every call into the flow network passes the simulator's current
+    time: a flow joins at its first byte, never ahead of the clock."""
+    calls = []
+    build = Simulator.__init__
+
+    def init(sim, *args, **kwargs):
+        build(sim, *args, **kwargs)
+        tick = sim.network._tick
+
+        def checked(now):
+            assert now == sim.now, f"network called at {now}, clock {sim.now}"
+            calls.append(now)
+            tick(now)
+
+        sim.network._tick = checked
+
+    monkeypatch.setattr(Simulator, "__init__", init)
+    assert sim_digest(name) == SIM_DIGESTS[name]
+    assert calls
 
 
 def test_incremental_solver_computes_fewer_shares():
