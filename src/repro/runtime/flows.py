@@ -27,10 +27,16 @@ flow ever holds a share ahead of the clock.
 Incremental solver
 ------------------
 
-A flow admission/completion (or a fault derating) changes the share of
-exactly the edges whose membership or capacity changed — an edge's share
-is a pure function of its member set (membership + caps), its raw
-capacity, and its fault derating factor.  The network therefore keeps
+Joining, finishing or aborting a flow is a pure membership change, and
+a fault derating a pure capacity change: each marks the edges it
+touches *dirty* (:attr:`FlowNetwork.dirty_edges`) and moves no rate.
+:meth:`FlowNetwork.rerate_edges` is the one solver pass.  The simulator
+runs it once per event instant, after every join and finish of that
+instant (no simulated time passes between them, so the intermediate
+rates are observable by nothing) — the per-epoch progressive filling of
+the multi-commodity-flow formulation.  An edge's share is a pure
+function of its member set (membership + caps), its raw capacity, and
+its fault derating factor, so the network keeps
 
 * an **authoritative per-edge flow index** (`_edge_flows`, an
   insertion-ordered id set) — the only membership structure; nothing
@@ -38,9 +44,9 @@ capacity, and its fault derating factor.  The network therefore keeps
 * a **per-edge share cache** (`_share`) invalidated exactly when an
   edge's membership or derating factor changes.
 
-A reallocation pass then recomputes shares for the *dirty* edges only
-and re-rates only the flows crossing them; every other edge's share is
-served from the cache bit-for-bit.
+A pass then recomputes shares for the dirty edges only and re-rates
+only the flows crossing them; every other edge's share is served from
+the cache bit-for-bit.
 
 Each pass re-rates its affected flows either with a scalar loop or, from
 :data:`VECTORIZE_MIN_FLOWS` affected flows up, with numpy over
@@ -55,7 +61,7 @@ flow) reproduce the golden digests (see ``docs/performance.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -171,12 +177,10 @@ class FlowNetwork:
         self._share_arr = np.zeros(len(self._capacity))
         self._cap_arr = np.zeros(256)
         self._rate_arr = np.zeros(256)
-        # Per-edge member *slot* lists (kept in sync with `_edge_flows`),
-        # a slot -> Flow table, and a scratch vector for the admission
-        # fast path's combined-minimum scatter.
-        self._edge_slots: Dict[str, List[int]] = {}
-        self._slot_flow: List[Flow] = []
-        self._scratch = np.zeros(256)
+        #: Edges whose membership or capacity changed since the last
+        #: solver pass (an insertion-ordered set); the next
+        #: :meth:`rerate_edges` re-rates them all in one pass.
+        self.dirty_edges: Dict[str, None] = {}
         # Fault-injection capacity scaling; empty when no faults are armed,
         # so the healthy-fabric math is untouched.
         self._factor: Dict[str, float] = {}
@@ -220,8 +224,9 @@ class FlowNetwork:
         """Derate (or restore) an edge's capacity; used by fault injection.
 
         ``factor`` scales the raw capacity: 0 means the link is down,
-        1 restores full health.  Returns every flow whose rate changed so
-        the caller can reschedule completion events.
+        1 restores full health.  Runs the solver pass at once (over this
+        edge and any other dirty one) and returns every flow whose rate
+        changed, so the caller can reschedule completion events.
         """
         if edge not in self._capacity:
             raise KeyError(f"unknown contention edge {edge!r}")
@@ -230,7 +235,8 @@ class FlowNetwork:
             self._factor.pop(edge, None)
         else:
             self._factor[edge] = max(0.0, factor)
-        return self._reallocate((edge,), now)
+        self.dirty_edges[edge] = None
+        return self._reallocate(now)
 
     # ------------------------------------------------------------------
 
@@ -240,13 +246,11 @@ class FlowNetwork:
         nbytes: float,
         cap: float,
         now: float,
-    ) -> Tuple[Flow, List[Flow]]:
-        """Admit a flow at ``now``; returns it plus every flow whose rate
-        changed.
+    ) -> Flow:
+        """Join a flow to its edges at ``now``.
 
-        The changed list is in no particular order: an admission only
-        ever lowers its peers' rates, so the simulator reposts nothing
-        from it.
+        A pure membership change: the flow holds rate 0 and its edges
+        are dirty until the next :meth:`rerate_edges` pass.
         """
         for edge in edges:
             if edge not in self._capacity:
@@ -261,8 +265,10 @@ class FlowNetwork:
         )
         self._next_id += 1
         self._flows[flow.flow_id] = flow
+        dirty = self.dirty_edges
         for edge in flow.edges:
             self._edge_flows.setdefault(edge, {})[flow.flow_id] = None
+            dirty[edge] = None
         ids = self._edge_ids
         self._flow_edge_idx[flow.flow_id] = np.fromiter(
             (ids[e] for e in flow.edges),
@@ -272,7 +278,6 @@ class FlowNetwork:
         free = self._free_slots
         if free:
             slot = free.pop()
-            self._slot_flow[slot] = flow
         else:
             slot = self._nslots
             self._nslots = slot + 1
@@ -280,33 +285,17 @@ class FlowNetwork:
                 grow = np.zeros(self._cap_arr.shape[0])
                 self._cap_arr = np.concatenate([self._cap_arr, grow])
                 self._rate_arr = np.concatenate([self._rate_arr, grow])
-                self._scratch = np.concatenate([self._scratch, grow])
-            self._slot_flow.append(flow)
         self._flow_slot[flow.flow_id] = slot
         self._cap_arr[slot] = flow.cap
         self._rate_arr[slot] = 0.0
-        edge_slots = self._edge_slots
-        for edge in flow.edges:
-            lst = edge_slots.get(edge)
-            if lst is None:
-                edge_slots[edge] = [slot]
-            else:
-                lst.append(slot)
         self.flows_admitted += 1
-        return flow, self._rerate_admission(flow, now)
+        return flow
 
-    def finish_flow(
-        self, flow: Flow, now: float, rerate: bool = True
-    ) -> List[Flow]:
-        """Remove a completed flow; returns flows whose rate changed.
+    def finish_flow(self, flow: Flow, now: float) -> None:
+        """Remove a flow at ``now``, reconciled up to it.
 
-        ``rerate=False`` removes the flow but defers the reallocation —
-        the caller takes responsibility for invoking
-        :meth:`rerate_edges` over the flow's edges before any rate is
-        read.  The simulator uses this to batch the re-rates of
-        simultaneous completions into a single pass (exact: no time
-        passes between them, so the intermediate rates are observable
-        by nothing).
+        A pure membership change: the flow's edges are dirty until the
+        next :meth:`rerate_edges` pass.
         """
         self._tick(now)
         flow.advance_to(now)
@@ -314,44 +303,40 @@ class FlowNetwork:
         del self._flow_edge_idx[flow.flow_id]
         slot = self._flow_slot.pop(flow.flow_id)
         self._free_slots.append(slot)
-        self._slot_flow[slot] = None  # type: ignore[call-overload]
-        edge_slots = self._edge_slots
+        dirty = self.dirty_edges
         for edge in flow.edges:
-            lst = edge_slots[edge]
-            lst.remove(slot)
-            if not lst:
-                del edge_slots[edge]
-        for edge in flow.edges:
+            dirty[edge] = None
             peers = self._edge_flows.get(edge)
             if peers is not None:
                 peers.pop(flow.flow_id, None)
                 if not peers:
                     del self._edge_flows[edge]
                     self._share.pop(edge, None)
-        if not rerate:
-            return []
-        return self._reallocate(flow.edges, now)
 
-    def rerate_edges(self, edges: Iterable[str], now: float) -> List[Flow]:
-        """Recompute shares and rates after deferred membership changes.
+    def rerate_edges(self, now: float) -> List[Flow]:
+        """The solver pass: re-rate every dirty edge at ``now``.
 
-        Companion to ``finish_flow(..., rerate=False)``: one pass over
-        the union of the deferred flows' edges.  The changed list is
-        flow-id sorted because the caller posts completion events from
-        it, and the post sequence must not depend on the solver's
-        internal iteration order.
+        Recomputes the share of each edge in :attr:`dirty_edges` and
+        re-rates the flows crossing one, so every membership change since
+        the last pass — joins and removals alike — settles in one
+        water-filling pass.  Returns every flow whose rate changed,
+        sorted by flow id: the caller posts completion events from it,
+        and the post sequence must not depend on the solver's internal
+        iteration order.  With nothing dirty there is no pass.
         """
         self._tick(now)
-        return self._reallocate(edges, now)
+        if not self.dirty_edges:
+            return []
+        return self._reallocate(now)
 
-    def abort_flow(self, flow: Flow, now: float) -> List[Flow]:
+    def abort_flow(self, flow: Flow, now: float) -> None:
         """Tear down an in-flight flow mid-transfer (fault recovery).
 
         Identical plumbing to :meth:`finish_flow`; the distinct name keeps
         caller intent explicit — the payload has NOT fully arrived, and
         ``flow.remaining`` tells the recovery layer how much to retransmit.
         """
-        return self.finish_flow(flow, now)
+        self.finish_flow(flow, now)
 
     def flows_on_edge(self, edge: str) -> List[Flow]:
         """Live flows currently crossing an edge (via the per-edge index)."""
@@ -390,39 +375,30 @@ class FlowNetwork:
         """Per-flow share on one edge after one water-filling round.
 
         Flows capped below the equal share donate their spare capacity to
-        the remaining flows of the edge.
-        """
-        lst = self._edge_slots.get(edge)
-        if lst is None:
-            self.shares_computed += 1
-            return self.effective_capacity(edge)
-        return self._edge_share_arr(edge, np.array(lst, dtype=np.intp))
-
-    def _edge_share_arr(self, edge: str, slots_arr) -> float:
-        """:meth:`_edge_share` over an edge's member slots.
-
-        Bit-identical to the plain-Python water-filling round (kept in
-        ``tests/oracles/rates.py``): the slot list preserves membership
-        order (append on admit, remove-first on finish, like the id
-        dict), the cap compare is the same float64 compare, and the
-        donated-capacity sum uses ``np.cumsum`` — a strictly sequential
-        left-to-right scan, unlike ``np.sum``'s pairwise reduction — so
-        it reproduces Python ``sum``'s rounding exactly.
+        the remaining flows of the edge.  An edge carries a handful of
+        flows, so a plain loop in membership order is cheaper than a
+        numpy gather; it is also the from-scratch expression of
+        ``tests/oracles/rates.py``, donated caps summed left to right.
         """
         self.shares_computed += 1
-        k = slots_arr.shape[0]
         capacity = self.effective_capacity(edge)
+        members = self._edge_flows.get(edge)
+        if members is None:
+            return capacity
+        k = len(members)
         equal = capacity / k
-        caps = self._cap_arr[slots_arr]
-        mask = caps < equal
-        ncapped = int(np.count_nonzero(mask))
+        flows = self._flows
+        donated = 0.0
+        ncapped = 0
+        for fid in members:
+            cap = flows[fid].cap
+            if cap < equal:
+                donated += cap
+                ncapped += 1
         uncapped = k - ncapped
-        if uncapped == 0:
+        if ncapped == 0 or uncapped == 0:
             return equal
-        if ncapped == 0:
-            return capacity / uncapped
-        total = float(np.cumsum(caps[mask])[-1])
-        return (capacity - total) / uncapped
+        return (capacity - donated) / uncapped
 
     def _share_of(self, edge: str) -> float:
         """Cached share of a (clean) edge; computed on first demand."""
@@ -432,23 +408,22 @@ class FlowNetwork:
             self._share_arr[self._edge_ids[edge]] = share
         return share
 
-    def _reallocate(
-        self, dirty_edges: Iterable[str], now: float, ordered: bool = True
-    ) -> List[Flow]:
-        """Recompute rates after ``dirty_edges`` changed; returns changes.
+    def _reallocate(self, now: float) -> List[Flow]:
+        """One pass over (and clearing) :attr:`dirty_edges`.
 
         Recomputes the share of each dirty edge and re-rates only the
         flows crossing one; clean edges are served from the share cache.
-        The changed list is sorted by flow id (unless the caller opts
-        out with ``ordered=False``), so the simulator's event-post
-        sequence does not depend on which re-rater ran.
+        The changed list is sorted by flow id, so the simulator's
+        event-post sequence does not depend on which re-rater ran.
         """
         self.reallocations += 1
+        dirty = self.dirty_edges
+        self.dirty_edges = {}
         # Union of the dirty edges' member sets, in first-seen order.
         # ``dict.update`` merges the per-edge id dicts at C speed — the
         # same order a Python seen-set loop would produce.
         affected_ids: Dict[int, None] = {}
-        for edge in dirty_edges:
+        for edge in dirty:
             members = self._edge_flows.get(edge)
             if members is None:
                 self._share.pop(edge, None)
@@ -465,100 +440,7 @@ class FlowNetwork:
             changed = self._rerate_scalar(
                 [flows[fid] for fid in affected_ids], now
             )
-        if ordered:
-            changed.sort(key=lambda f: f.flow_id)
-        self.rate_updates += len(changed)
-        return changed
-
-    def _rerate_admission(self, flow: Flow, now: float) -> List[Flow]:
-        """Decrease-only re-rate specialized for a flow admission.
-
-        Admitting a flow can never *raise* an edge share: the fair share
-        is a mediant that only drops as members join, and the Equation 1
-        contention penalty only lowers effective capacity.  Every peer's
-        rate is therefore exactly ``min(old_rate, fresh share of each
-        dirty edge it crosses)`` — no minimum over its clean edges is
-        needed, because those shares did not move and the stored rate
-        already reflects them.  That turns the admission pass into pure
-        numpy over the per-edge slot lists: gather old rates, combine
-        the dirty-share candidates per slot (``np.minimum.at`` handles
-        flows crossing several dirty edges, so the threshold compares
-        the *combined* minimum against the old rate exactly like the
-        generic loop), and touch only the flows that actually changed.
-
-        Bit-identity with the generic path holds even though kept rates
-        may carry sub-threshold drift: ``min`` is 1-Lipschitz, so the
-        fast path's update decision and stored value always match the
-        generic recompute's (see the golden determinism suite).
-
-        The just-admitted flow itself (rate 0 → first allocation) takes
-        the scalar expression over its own fresh shares.
-        """
-        edges = flow.edges
-        edge_slots = self._edge_slots
-        total = 0
-        for edge in edges:
-            total += len(edge_slots[edge])
-        if total < VECTORIZE_MIN_FLOWS:
-            return self._reallocate(edges, now, ordered=False)
-        self.reallocations += 1
-        self.vectorized_passes += 1
-        share_arr = self._share_arr
-        edge_ids = self._edge_ids
-        share_map = self._share
-        parts: List["np.ndarray"] = []
-        cands: List["np.ndarray"] = []
-        fresh_shares: List[float] = []
-        for edge in edges:
-            part = np.array(edge_slots[edge], dtype=np.intp)
-            fresh = share_map[edge] = self._edge_share_arr(edge, part)
-            share_arr[edge_ids[edge]] = fresh
-            fresh_shares.append(fresh)
-            parts.append(part)
-            cands.append(np.full(part.shape[0], fresh))
-        if len(parts) == 1:
-            slots_cat, cand_cat = parts[0], cands[0]
-        else:
-            slots_cat = np.concatenate(parts)
-            cand_cat = np.concatenate(cands)
-        rate_arr = self._rate_arr
-        old = rate_arr[slots_cat]
-        scratch = self._scratch
-        scratch[slots_cat] = old
-        np.minimum.at(scratch, slots_cat, cand_cat)
-        new = scratch[slots_cat]
-        rel = self._rate_rel_epsilon
-        if rel > 0.0:
-            threshold = np.maximum(ABS_RATE_EPS, rel * np.abs(old))
-        else:
-            threshold = ABS_RATE_EPS
-        rows = np.nonzero(old - new > threshold)[0]
-        changed: List[Flow] = []
-        slot_flow = self._slot_flow
-        seen = set()
-        # The new flow's own rows (old == new == 0) never pass the
-        # threshold; it is handled by the scalar expression below.
-        for slot, rate in zip(slots_cat[rows].tolist(), new[rows].tolist()):
-            if slot in seen:
-                continue  # flow crosses several dirty edges
-            seen.add(slot)
-            peer = slot_flow[slot]
-            if now > peer.last_update:
-                peer.remaining = max(
-                    0.0, peer.remaining - peer.rate * (now - peer.last_update)
-                )
-                peer.last_update = now
-            peer.rate = rate
-            rate_arr[slot] = rate
-            changed.append(peer)
-        new_rate = min(flow.cap, min(fresh_shares))
-        threshold0 = ABS_RATE_EPS
-        if rel > 0.0:
-            threshold0 = max(threshold0, rel * abs(flow.rate))
-        if abs(new_rate - flow.rate) > threshold0:
-            flow.rate = new_rate  # last_update == now: just admitted
-            rate_arr[self._flow_slot[flow.flow_id]] = new_rate
-            changed.append(flow)
+        changed.sort(key=lambda f: f.flow_id)
         self.rate_updates += len(changed)
         return changed
 

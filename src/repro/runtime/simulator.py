@@ -164,15 +164,6 @@ class Simulator:
         # place when a re-rate supersedes it, so stale events are
         # skipped inside the queue without a dispatch.
         self._flow_cell: Dict[int, list] = {}
-        # Batched finish re-rates: edges whose membership changed at
-        # `self.now` but whose reallocation is still pending.
-        # Simultaneous completions — pervasive in symmetric collectives —
-        # then share one re-rate pass and one repost wave.  The batch is
-        # flushed before the clock advances, before any non-flow event,
-        # and before any admission or other rate read, so no observable
-        # state ever sees a stale rate (no simulated time passes between
-        # the deferred removals and the flush).
-        self._dirty_edges: Dict[str, None] = {}
         # Per-task protocol-adjusted route latency (hot on flow finish).
         self._task_latency: Dict[int, float] = {}
         # Exact micro-batch aggregation: one representative instance's
@@ -185,6 +176,9 @@ class Simulator:
             self.network.start_flow(
                 edges=tuple(edges), nbytes=float("inf"), cap=cap, now=self.now
             )
+        # The congestors join first and settle in one pass; they post no
+        # completion event.
+        self.network.rerate_edges(self.now)
 
         self.tbs = [
             _TB(
@@ -338,17 +332,23 @@ class Simulator:
         if self.watchdog_window_us > 0:
             self._post(self.now + self.watchdog_window_us, "watchdog", None)
         queue = self._queue
+        network = self.network
         while True:
-            if self._dirty_edges:
-                # A deferred finish re-rate is pending at self.now.  It
-                # may stay deferred only while the next event is another
-                # flow event at the same instant (whose completion check
-                # is rate-independent over a zero-length interval);
-                # anything else — a later event, a non-flow event, or an
-                # empty queue — must see reconciled rates, and the flush
+            if network.dirty_edges:
+                # Joins or finishes at self.now still await their solver
+                # pass.  It may stay deferred only while the next event
+                # is another flow completion or admission at the same
+                # instant (a completion check is rate-independent over a
+                # zero-length interval, and a join reads no rate);
+                # anything else — a later event, any other event kind, or
+                # an empty queue — must see settled rates, and the flush
                 # may post completion events earlier than the next entry.
                 nxt = queue.peek()
-                if nxt is None or nxt[0] != self.now or nxt[2] != "flow":
+                if (
+                    nxt is None
+                    or nxt[0] != self.now
+                    or (nxt[2] != "flow" and nxt[2] != "admit")
+                ):
                     self._flush_rerate()
             entry = queue.pop()
             if entry is None:
@@ -574,33 +574,23 @@ class Simulator:
     def _admit(self, send) -> None:
         """Join a posted send's flow to the network at ``self.now``.
 
-        An admission can only *lower* its peers' rates — adding demand
-        never raises a water-filled edge share (the released-cap gain is
-        bounded by the old equal share, so the new share is a mediant
-        below the old one, and the Equation 1 contention penalty only
-        pushes further down).  Every peer ETA therefore moved later, and
-        each peer's pending completion event already fires at-or-before
-        it (earliest-wins, see :meth:`_post_flow_eta`), so no peer needs
-        a repost.
+        The join is a membership change only: the flow's rate, and the
+        rates of the peers it slows down, are set by the one solver pass
+        of this instant (:meth:`_flush_rerate`), which also posts the
+        flow's first completion event.  Admissions at one instant
+        therefore share one pass with each other and with that instant's
+        finishes instead of re-rating peers one at a time.
         """
-        if self._dirty_edges:
-            # A same-instant completion's re-rate is still deferred; the
-            # admission must see reconciled memberships and rates.
-            self._flush_rerate()
         task_id, mb, sender_index, edges, nbytes, cap = send
-        flow, _ = self.network.start_flow(edges, nbytes, cap, self.now)
+        flow = self.network.start_flow(edges, nbytes, cap, self.now)
         self._flows[flow.flow_id] = (flow, task_id, mb, sender_index)
-        self._post_flow_eta(flow)
 
     def _flush_rerate(self) -> None:
-        """Apply the deferred finish re-rates and repost changed ETAs."""
-        dirty = self._dirty_edges
-        if not dirty:
-            return
-        self._dirty_edges = {}
-        changed = self.network.rerate_edges(tuple(dirty), self.now)
-        for other in changed:
-            self._post_flow_eta(other)
+        """Run the instant's one solver pass over every pending join and
+        finish, and (re)post the completion events of the flows whose
+        rate changed — the just-joined flows included."""
+        for flow in self.network.rerate_edges(self.now):
+            self._post_flow_eta(flow)
 
     def _post_flow_eta(self, flow: Flow) -> None:
         """Earliest-wins discipline: a completion event is (re)posted
@@ -610,11 +600,12 @@ class Simulator:
         When a rate drop moves the ETA later, the pending event is kept
         — it wakes early, finds the flow unfinished, and reposts itself
         at the then-current ETA (see :meth:`_maybe_finish_flow`).
-        Admissions, which only ever slow their peers down, therefore
-        post nothing for them.  A superseded (later-firing) event is
-        cancelled in place (``cell[4] = False`` inlines
-        ``EventQueue.cancel`` — this is the hottest call site in the
-        simulator) and skipped inside the queue.  The eager reference
+        Peers that an instant's admissions only slow down therefore get
+        no new event from its solver pass; a just-joined flow has no
+        pending event, so it always gets its first one there.  A
+        superseded (later-firing) event is cancelled in place
+        (``cell[4] = False`` inlines ``EventQueue.cancel`` — this is the
+        hottest call site in the simulator) and skipped inside the queue.  The eager reference
         discipline, which reposts on every rate change, lives in
         ``tests/oracles/eager.py``.
         """
@@ -655,24 +646,21 @@ class Simulator:
             remaining = remaining - rate * (self.now - flow.last_update)
         if remaining > _EPS:
             # The rate dropped since this event was posted: the flow is
-            # not done.  Consume the cell, reconcile any deferred
-            # same-instant re-rate (it may have raised this flow's rate),
-            # and repost at the current ETA.
+            # not done.  Consume the cell, settle any pending same-instant
+            # pass (it may have raised this flow's rate), and repost at
+            # the current ETA.
             self._flow_cell.pop(flow_id, None)
-            if self._dirty_edges:
-                self._flush_rerate()
+            self._flush_rerate()
             self._post_flow_eta(flow)
             return
         flow.advance_to(self.now)
         del self._flows[flow_id]
         self._flow_cell.pop(flow_id, None)
-        # Defer the reallocation: simultaneous completions (the common
-        # case in symmetric collectives) share one re-rate pass and one
-        # repost wave, flushed before any rate is read.
-        self.network.finish_flow(flow, self.now, rerate=False)
-        dirty = self._dirty_edges
-        for edge in flow.edges:
-            dirty[edge] = None
+        # The removal joins this instant's pending pass: simultaneous
+        # completions and admissions (the common case in symmetric
+        # collectives) share one re-rate and one repost wave, flushed
+        # before any rate is read.
+        self.network.finish_flow(flow, self.now)
         self._send_done(*entry)
 
     def _send_done(
@@ -828,6 +816,7 @@ class Simulator:
         """
         if self._timers > 0:
             return False
+        self._flush_rerate()
         for flow, _task, _mb, _tb in self._flows.values():
             if flow.rate > 0.0:
                 return False
@@ -920,6 +909,7 @@ class Simulator:
 
     def apply_edge_factor(self, edge: str, factor: float) -> None:
         """Derate (or restore) a contention edge mid-run."""
+        self._flush_rerate()
         changed = self.network.set_capacity_factor(edge, factor, self.now)
         if self.fault_stats is not None:
             tiers = self.fault_stats.capacity_changes
@@ -941,14 +931,15 @@ class Simulator:
 
         Returns ``(flow, task_id, mb, sender_tb_index)``; the sender TB
         stays in-flight and resumes when the remaining bytes are posted
-        again via :meth:`post_send`.
+        again via :meth:`post_send`.  The teardown joins the instant's
+        pending solver pass, like a finish.
         """
+        self._flush_rerate()
         flow, task_id, mb, sender_index = self._flows.pop(flow_id)
         cell = self._flow_cell.pop(flow_id, None)
         if cell is not None:
             self._queue.cancel(cell)
-        for other in self.network.abort_flow(flow, self.now):
-            self._post_flow_eta(other)
+        self.network.abort_flow(flow, self.now)
         task = self.dag.task(task_id)
         self._link_exit(task.link, flow.nbytes - flow.remaining)
         return flow, task_id, mb, sender_index
@@ -960,6 +951,7 @@ class Simulator:
 
     def zero_rate_flows(self) -> List[Tuple[Flow, int, int, int]]:
         """In-flight payload flows currently starved to rate zero."""
+        self._flush_rerate()
         return [
             entry for entry in self._flows.values() if entry[0].rate <= 0.0
         ]
@@ -978,6 +970,7 @@ class Simulator:
         source slot and the receive that would apply the payload has not
         completed.
         """
+        self._flush_rerate()
         inflight: Dict[Tuple[int, int], float] = {}
         for flow, task_id, mb, _sender in self._flows.values():
             flow.advance_to(self.now)

@@ -3,14 +3,14 @@
 The production :class:`~repro.runtime.simulator.Simulator` posts a
 flow's completion event only when its ETA moves earlier, cancels the
 superseded entry in place, lets an early wakeup repost itself, and
-defers the re-rate of simultaneous finishes into one pass.
+settles the joins and finishes of one instant in one solver pass.
 :class:`EagerSimulator` does none of that:
 
 * every rate change — peers of an admission included — bumps the
   flow's version and posts a fresh event at the new ETA;
 * superseded events stay in the queue, are dispatched, and are
   recognised by their stale version;
-* every finish re-rates its edges at once.
+* every admission and every finish runs its own solver pass at once.
 
 Both disciplines run on the same monotone network clock (a flow joins
 at its first byte), so they must reach the same completion times
@@ -32,11 +32,14 @@ class EagerSimulator(Simulator):
         super().__init__(*args, **kwargs)
 
     def _admit(self, send) -> None:
+        """Solve once per admission, explicitly, and repost every peer
+        the join slowed down."""
         task_id, mb, sender_index, edges, nbytes, cap = send
-        flow, changed = self.network.start_flow(edges, nbytes, cap, self.now)
+        flow = self.network.start_flow(edges, nbytes, cap, self.now)
         self._flows[flow.flow_id] = (flow, task_id, mb, sender_index)
+        changed = self.network.rerate_edges(self.now)
         self._post_flow_eta(flow)
-        for other in sorted(changed, key=lambda f: f.flow_id):
+        for other in changed:
             if other is not flow:
                 self._post_flow_eta(other)
 
@@ -67,6 +70,7 @@ class EagerSimulator(Simulator):
             return
         del self._flows[flow_id]
         del self._flow_version[flow_id]
-        for other in self.network.finish_flow(flow, self.now):
+        self.network.finish_flow(flow, self.now)
+        for other in self.network.rerate_edges(self.now):
             self._post_flow_eta(other)
         self._send_done(*entry)

@@ -5,27 +5,32 @@ The production :class:`~repro.runtime.flows.FlowNetwork` is incremental
 and picks a numpy or a scalar re-rater per pass by size.  This module
 holds what it is checked against:
 
-* :func:`water_filled_share` — one edge's share computed from scratch in
-  plain Python, the expression the numpy path must reproduce bit for
+* :func:`water_filled_share` — one edge's share computed from scratch,
+  the expression ``FlowNetwork._edge_share`` must reproduce bit for
   bit;
-* :class:`RateOracleNetwork` — after every solver pass with no deferred
-  finish re-rate pending, asserts that every live flow's rate equals
-  ``min(cap, min over its edges of the from-scratch share)`` within
-  :data:`~repro.runtime.flows.ABS_RATE_EPS`: the per-epoch progressive
-  filling of the multi-commodity-flow formulation;
+* :class:`RateOracleNetwork` — after every solver pass, asserts that
+  every live flow's rate equals ``min(cap, min over its edges of the
+  from-scratch share)`` within :data:`~repro.runtime.flows.ABS_RATE_EPS`:
+  the per-epoch progressive filling of the multi-commodity-flow
+  formulation;
 * :class:`ScalarFlowNetwork` — never takes the numpy path;
 * :class:`BruteForceFlowNetwork` — also recomputes every occupied edge
   and re-rates every live flow on every pass (no share cache);
 * :class:`PerInstanceSimulator` (and the two functions it installs) —
   recomputes each micro-batch instance's schedule metadata instead of
-  sharing the representative's.
+  sharing the representative's;
+* :class:`PerAdmissionSimulator` — settles every admission in a solver
+  pass of its own instead of one pass per event instant: the same
+  physics in more passes, the pinned reference of
+  ``benchmarks/test_perf_scaling.py``.
 
-Each reproduces the golden digests (``tests/test_golden_oracles.py``).
+Each network and :class:`PerInstanceSimulator` reproduces the golden
+digests (``tests/test_golden_oracles.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import List
 
 from repro.runtime.flows import ABS_RATE_EPS, Flow, FlowNetwork
 from repro.runtime.simulator import Simulator
@@ -58,9 +63,6 @@ class ScalarFlowNetwork(FlowNetwork):
         self.shares_computed += 1
         return water_filled_share(self, edge)
 
-    def _rerate_admission(self, flow: Flow, now: float) -> List[Flow]:
-        return self._reallocate(flow.edges, now, ordered=False)
-
     def _rerate_vectorized(self, ids: List[int], now: float) -> List[Flow]:
         self.vectorized_passes -= 1
         self.scalar_passes += 1
@@ -71,15 +73,13 @@ class ScalarFlowNetwork(FlowNetwork):
 class BruteForceFlowNetwork(ScalarFlowNetwork):
     """Recompute every occupied edge, re-rate every live flow, per pass."""
 
-    def _reallocate(
-        self, dirty_edges: Iterable[str], now: float, ordered: bool = True
-    ) -> List[Flow]:
+    def _reallocate(self, now: float) -> List[Flow]:
         self.reallocations += 1
         self.scalar_passes += 1
+        self.dirty_edges = {}
         self._share = {e: self._edge_share(e) for e in self._edge_flows}
         changed = self._rerate_scalar(list(self._flows.values()), now)
-        if ordered:
-            changed.sort(key=lambda f: f.flow_id)
+        changed.sort(key=lambda f: f.flow_id)
         self.rate_updates += len(changed)
         return changed
 
@@ -87,45 +87,26 @@ class BruteForceFlowNetwork(ScalarFlowNetwork):
 class RateOracleNetwork(FlowNetwork):
     """The production network, checked against the invariant per pass.
 
-    A finish whose re-rate the simulator defers (``rerate=False``) leaves
-    the rates of its peers stale until the matching :meth:`rerate_edges`
-    flush, so passes in between are not checked.  Only exact mode
+    A join or finish leaves rates stale until the next pass settles its
+    dirty edges, so :meth:`check` skips while any edge is dirty; every
+    pass settles them all, so no pass is skipped.  Only exact mode
     (``rate_rel_epsilon == 0``) is checked.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._deferred: Dict[str, None] = {}
-        self._checked_pass = -1
         self.passes_checked = 0
         self.max_error = 0.0
 
-    def finish_flow(self, flow: Flow, now: float, rerate: bool = True):
-        if not rerate:
-            self._deferred.update(dict.fromkeys(flow.edges))
-        return super().finish_flow(flow, now, rerate)
-
-    def rerate_edges(self, edges: Iterable[str], now: float) -> List[Flow]:
-        self._deferred = {}
-        return super().rerate_edges(edges, now)
-
-    def _reallocate(self, dirty_edges, now, ordered=True):
-        changed = super()._reallocate(dirty_edges, now, ordered)
-        self.check(now)
-        return changed
-
-    def _rerate_admission(self, flow, now):
-        changed = super()._rerate_admission(flow, now)
+    def _reallocate(self, now: float) -> List[Flow]:
+        changed = super()._reallocate(now)
         self.check(now)
         return changed
 
     def check(self, now: float) -> None:
-        """Assert the invariant for every live flow, once per pass."""
-        if self._deferred or self._rate_rel_epsilon > 0.0:
+        """Assert the invariant for every live flow."""
+        if self.dirty_edges or self._rate_rel_epsilon > 0.0:
             return
-        if self._checked_pass == self.reallocations:
-            return  # an admission pass that delegated to _reallocate
-        self._checked_pass = self.reallocations
         shares = {e: water_filled_share(self, e) for e in self._edge_flows}
         for flow in self._flows.values():
             expected = min(flow.cap, min(shares[e] for e in flow.edges))
@@ -162,3 +143,13 @@ class PerInstanceSimulator(Simulator):
 
     _send_meta = send_meta_per_instance
     _recv_duration = recv_duration_per_instance
+
+
+class PerAdmissionSimulator(Simulator):
+    """Solves once per admission: the instant's pending finishes settle
+    before the join, and the join settles in a pass of its own."""
+
+    def _admit(self, send) -> None:
+        self._flush_rerate()
+        super()._admit(send)
+        self._flush_rerate()

@@ -1,11 +1,12 @@
 """Production simulator vs the eager event discipline of ``tests/oracles``.
 
 The earliest-wins discipline (cancel in place, early wakeups repost,
-simultaneous finishes share one deferred re-rate) and the eager one
-(repost on every rate change, stale events die by version) run on one
+the joins and finishes of one instant share one solver pass) and the
+eager one (a pass per join and per finish, repost on every rate change,
+stale events die by version) run on one
 monotone flow clock: a flow joins the network at its first byte.  They
-must therefore reach the same completion time exactly, not within a
-tolerance.
+must therefore reach the same physics exactly, not within a tolerance:
+the same completion time, per-TB stats and per-link stats.
 """
 
 import pytest
@@ -45,5 +46,7 @@ def test_eager_discipline_same_completion(algo, nodes, gpus):
     production = simulate(plan)
     eager = EagerSimulator(plan).run()
     assert production.completion_time_us == eager.completion_time_us
+    assert production.tb_stats == eager.tb_stats
+    assert production.link_stats == eager.link_stats
     assert sorted(production.completion_order) == sorted(eager.completion_order)
     assert production.counters.flows_admitted == eager.counters.flows_admitted

@@ -88,7 +88,8 @@ class TestFaultPlan:
 class TestFlowNetworkFactors:
     def test_capacity_factor_scales_and_restores(self):
         net = FlowNetwork({"e": 100.0})
-        flow, _ = net.start_flow(("e",), nbytes=1000.0, cap=1e9, now=0.0)
+        flow = net.start_flow(("e",), nbytes=1000.0, cap=1e9, now=0.0)
+        net.rerate_edges(now=0.0)
         assert flow.rate == pytest.approx(100.0)
         net.set_capacity_factor("e", 0.5, now=1.0)
         assert net.effective_capacity("e") == pytest.approx(50.0)
