@@ -1,13 +1,14 @@
 """Thousand-GPU simulation scale-up benchmark.
 
 Sweeps mesh-allreduce from 2x8 up to 64x8 (512 GPUs) and records, per
-scale, the wall clock of the optimized simulator (vectorized re-rater +
-earliest-wins lazy invalidation + batched simultaneous-finish re-rates +
-micro-batch aggregation) against the pre-scale-out discipline (scalar
-rates, per-instance bookkeeping, eager repost-every-change
-invalidation), rebuilt from the reference classes in
-``tests/oracles/rates.py`` and ``tests/oracles/eager.py``.  Writes
-``BENCH_sim_scale.json`` at the repo root for CI diffing.
+scale, the wall clock of the optimized simulator (incremental re-rater
+over a per-edge share cache + earliest-wins lazy invalidation + one
+solver pass per event instant + micro-batch aggregation) against the
+pre-scale-out discipline (from-scratch edge shares, per-instance
+bookkeeping, eager repost-every-change invalidation), rebuilt from the
+reference classes in ``tests/oracles/rates.py`` and
+``tests/oracles/eager.py``.  Writes ``BENCH_sim_scale.json`` at the repo
+root for CI diffing.
 
 Asserted acceptance shape:
 
@@ -15,8 +16,8 @@ Asserted acceptance shape:
 * **near-linear wall-time-vs-flows scaling** — the log-log exponent of
   wall time against admitted flows across the sweep stays well below
   the super-linear regime the per-event heap + dense re-rater exhibit;
-* **bit-identical reports** between the vectorized and scalar re-raters
-  in exact mode (work counters excepted);
+* **bit-identical reports** between the production network and the
+  from-scratch-share network in exact mode (work counters excepted);
 * **fast fidelity** (``SimConfig.with_fidelity("fast")``) completes
   within 15% of the exact completion time while doing less work.
 
@@ -70,8 +71,8 @@ MIN_SPEEDUP_AT_16X8 = 3.0
 MAX_SCALING_EXPONENT = 1.35
 MAX_FAST_REL_ERROR = 0.15
 
-#: The pre-scale-out simulator discipline: scalar re-rater (network),
-#: per-instance micro-batch bookkeeping, and eager
+#: The pre-scale-out simulator discipline: from-scratch edge shares
+#: (network), per-instance micro-batch bookkeeping, and eager
 #: repost-every-rate-change event invalidation (simulator).
 BASELINE = dict(
     network="ScalarFlowNetwork",
@@ -146,7 +147,6 @@ def _sweep():
             "stale_events_skipped": c.stale_events_skipped,
             "rate_updates": c.rate_updates,
             "reallocations": c.reallocations,
-            "vectorized_passes": c.vectorized_passes,
             "queue_depth_max": c.queue_depth_max,
             "agg_tasks_cached": c.agg_tasks_cached,
             "completion_time_us": new.completion_time_us,
@@ -174,14 +174,17 @@ class _ScalarSimulator(Simulator):
 
 
 def _fingerprint_identity():
-    """Vectorized and scalar re-raters pin the same physical report."""
+    """Production and from-scratch-share networks pin the same physical
+    report."""
     plan = _plan_for(4)
-    vec = simulate(plan)
+    production = simulate(plan)
     scalar = _ScalarSimulator(plan).run()
     return {
         "scale": "4x8",
-        "vectorized_equals_scalar": _fingerprint(vec) == _fingerprint(scalar),
-        "vectorized_passes": vec.counters.vectorized_passes,
+        "production_equals_scalar": (
+            _fingerprint(production) == _fingerprint(scalar)
+        ),
+        "reallocations": production.counters.reallocations,
         "scalar_passes": scalar.counters.scalar_passes,
     }
 
@@ -259,9 +262,8 @@ def test_sim_scale(once):
     )
     assert exponent <= MAX_SCALING_EXPONENT, (lo, hi, exponent)
 
-    # Exact mode: the numpy re-rater is an optimization, not a model.
-    assert identity["vectorized_equals_scalar"], identity
-    assert identity["vectorized_passes"] > 0, identity
+    # Exact mode: the share cache is an optimization, not a model.
+    assert identity["production_equals_scalar"], identity
     assert identity["scalar_passes"] > 0, identity
 
     # Fast fidelity: collapse actually engaged, bounded completion

@@ -48,14 +48,14 @@ A pass then recomputes shares for the dirty edges only and re-rates
 only the flows crossing them; every other edge's share is served from
 the cache bit-for-bit.
 
-Each pass re-rates its affected flows either with a scalar loop or, from
-:data:`VECTORIZE_MIN_FLOWS` affected flows up, with numpy over
-persistent per-flow and per-edge arrays; the two produce bit-identical
-rates, so the choice is a pure size rule.  ``tests/oracles/rates.py``
-holds the checks: after every pass each live flow's rate equals the
-from-scratch water-filled share of its edges, and scalar-only and
-brute-force networks (recompute every occupied edge, re-rate every live
-flow) reproduce the golden digests (see ``docs/performance.md``).
+Each pass re-rates its affected flows with one plain loop over the
+cached shares: an edge carries a handful of flows, so array machinery
+would cost more than it saves.  ``tests/oracles/rates.py`` holds the
+checks: after every pass each live flow's rate equals the from-scratch
+water-filled share of its edges, and networks that compute every share
+from scratch, or also recompute every occupied edge and re-rate every
+live flow on every pass, reproduce the golden digests (see
+``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -63,17 +63,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 #: Absolute rate-change floor below which a re-rated flow keeps its old
 #: rate (and no completion event is re-posted).  Matches the seed
 #: implementation's threshold, so the default solver is bit-exact.
 ABS_RATE_EPS = 1e-12
-
-#: Minimum affected-flow count at which a reallocation pass switches to
-#: the vectorized re-rater.  Below it, plain Python loops have lower
-#: constant factors.
-VECTORIZE_MIN_FLOWS = 24
 
 
 @dataclass
@@ -153,30 +146,13 @@ class FlowNetwork:
         # therefore every downstream event sequence — is deterministic).
         self._edge_flows: Dict[str, Dict[int, None]] = {}
         # Per-edge share cache; an entry is invalidated exactly when the
-        # edge's membership or derating factor changes.
+        # edge's membership or derating factor changes, so every occupied
+        # edge has a fresh entry once a pass has settled the dirty edges.
         self._share: Dict[str, float] = {}
         self._next_id = 0
         # Latest time the network was called with (see _tick).
         self._clock = -float("inf")
         self._rate_rel_epsilon = rate_rel_epsilon
-        # Dense edge ids (insertion order of the capacity map, which is
-        # deterministic) and per-flow cached edge-index arrays: the
-        # CSR-style incidence the vectorized re-rater gathers.
-        self._edge_ids = {e: i for i, e in enumerate(self._capacity)}
-        self._flow_edge_idx: Dict[int, np.ndarray] = {}
-        # Persistent numpy mirrors, so a vectorized pass is pure C
-        # gathers with no per-pass Python marshalling:
-        # * `_share_arr[edge_id]` mirrors every `_share` dict write (an
-        #   occupied edge always has a fresh entry by the time a re-rate
-        #   runs — membership changes dirty the edge);
-        # * `_cap_arr[slot]` / `_rate_arr[slot]` mirror each live flow's
-        #   cap and rate, slot-indexed with free-list reuse.
-        self._flow_slot: Dict[int, int] = {}
-        self._free_slots: List[int] = []
-        self._nslots = 0
-        self._share_arr = np.zeros(len(self._capacity))
-        self._cap_arr = np.zeros(256)
-        self._rate_arr = np.zeros(256)
         #: Edges whose membership or capacity changed since the last
         #: solver pass (an insertion-ordered set); the next
         #: :meth:`rerate_edges` re-rates them all in one pass.
@@ -190,8 +166,6 @@ class FlowNetwork:
         self.shares_computed = 0
         self.rate_updates = 0
         self.flows_admitted = 0
-        self.vectorized_passes = 0
-        self.scalar_passes = 0
 
     @property
     def gamma(self) -> float:
@@ -269,25 +243,6 @@ class FlowNetwork:
         for edge in flow.edges:
             self._edge_flows.setdefault(edge, {})[flow.flow_id] = None
             dirty[edge] = None
-        ids = self._edge_ids
-        self._flow_edge_idx[flow.flow_id] = np.fromiter(
-            (ids[e] for e in flow.edges),
-            dtype=np.intp,
-            count=len(flow.edges),
-        )
-        free = self._free_slots
-        if free:
-            slot = free.pop()
-        else:
-            slot = self._nslots
-            self._nslots = slot + 1
-            if slot >= self._cap_arr.shape[0]:
-                grow = np.zeros(self._cap_arr.shape[0])
-                self._cap_arr = np.concatenate([self._cap_arr, grow])
-                self._rate_arr = np.concatenate([self._rate_arr, grow])
-        self._flow_slot[flow.flow_id] = slot
-        self._cap_arr[slot] = flow.cap
-        self._rate_arr[slot] = 0.0
         self.flows_admitted += 1
         return flow
 
@@ -300,9 +255,6 @@ class FlowNetwork:
         self._tick(now)
         flow.advance_to(now)
         del self._flows[flow.flow_id]
-        del self._flow_edge_idx[flow.flow_id]
-        slot = self._flow_slot.pop(flow.flow_id)
-        self._free_slots.append(slot)
         dirty = self.dirty_edges
         for edge in flow.edges:
             dirty[edge] = None
@@ -376,9 +328,9 @@ class FlowNetwork:
 
         Flows capped below the equal share donate their spare capacity to
         the remaining flows of the edge.  An edge carries a handful of
-        flows, so a plain loop in membership order is cheaper than a
-        numpy gather; it is also the from-scratch expression of
-        ``tests/oracles/rates.py``, donated caps summed left to right.
+        flows, so this is a plain loop in membership order; it is also
+        the from-scratch expression of ``tests/oracles/rates.py``,
+        donated caps summed left to right.
         """
         self.shares_computed += 1
         capacity = self.effective_capacity(edge)
@@ -400,21 +352,11 @@ class FlowNetwork:
             return equal
         return (capacity - donated) / uncapped
 
-    def _share_of(self, edge: str) -> float:
-        """Cached share of a (clean) edge; computed on first demand."""
-        share = self._share.get(edge)
-        if share is None:
-            share = self._share[edge] = self._edge_share(edge)
-            self._share_arr[self._edge_ids[edge]] = share
-        return share
-
     def _reallocate(self, now: float) -> List[Flow]:
         """One pass over (and clearing) :attr:`dirty_edges`.
 
         Recomputes the share of each dirty edge and re-rates only the
         flows crossing one; clean edges are served from the share cache.
-        The changed list is sorted by flow id, so the simulator's
-        event-post sequence does not depend on which re-rater ran.
         """
         self.reallocations += 1
         dirty = self.dirty_edges
@@ -428,95 +370,32 @@ class FlowNetwork:
             if members is None:
                 self._share.pop(edge, None)
                 continue
-            fresh = self._share[edge] = self._edge_share(edge)
-            self._share_arr[self._edge_ids[edge]] = fresh
+            self._share[edge] = self._edge_share(edge)
             affected_ids.update(members)
-        if len(affected_ids) >= VECTORIZE_MIN_FLOWS:
-            self.vectorized_passes += 1
-            changed = self._rerate_vectorized(list(affected_ids), now)
-        else:
-            self.scalar_passes += 1
-            flows = self._flows
-            changed = self._rerate_scalar(
-                [flows[fid] for fid in affected_ids], now
-            )
-        changed.sort(key=lambda f: f.flow_id)
-        self.rate_updates += len(changed)
-        return changed
+        flows = self._flows
+        return self._rerate([flows[fid] for fid in affected_ids], now)
 
-    def _rerate_scalar(self, affected: List[Flow], now: float) -> List[Flow]:
-        """Per-flow re-rate loop over cached edge shares."""
-        share = self._share_of
+    def _rerate(self, affected: List[Flow], now: float) -> List[Flow]:
+        """Re-rate ``affected`` from the share cache.
+
+        Returns the flows whose rate changed, sorted by flow id (see
+        :meth:`rerate_edges`).
+        """
+        shares = self._share
         rel = self._rate_rel_epsilon
         changed: List[Flow] = []
         for flow in affected:
-            new_rate = min(flow.cap, min(share(e) for e in flow.edges))
+            new_rate = min(flow.cap, min(shares[e] for e in flow.edges))
             threshold = ABS_RATE_EPS
             if rel > 0.0:
                 threshold = max(threshold, rel * abs(flow.rate))
             if abs(new_rate - flow.rate) > threshold:
                 flow.advance_to(now)
                 flow.rate = new_rate
-                self._rate_arr[self._flow_slot[flow.flow_id]] = new_rate
                 changed.append(flow)
-        return changed
-
-    def _rerate_vectorized(self, ids: List[int], now: float) -> List[Flow]:
-        """Numpy re-rate of the flows in ``ids``; bit-identical to the
-        scalar loop.
-
-        Gathers each flow's cached edge-index array into one CSR-style
-        concatenation, reads the (already-recomputed) per-edge shares
-        straight out of the persistent ``_share_arr`` mirror, and takes
-        per-flow segment minima with ``np.minimum.reduceat``.  Caps and
-        previous rates come from the slot-indexed ``_cap_arr`` /
-        ``_rate_arr`` mirrors, so the whole pass is C-side gathers and
-        only the flows that actually changed are ever touched as Python
-        objects.  ``min`` is exact and order-insensitive over float64 and
-        the threshold compare uses the same float64 expression as the
-        scalar path, so the changed set and every new rate are bitwise
-        equal to the scalar loop's.
-        """
-        if not ids:
-            return []
-        idx_map = self._flow_edge_idx
-        slot_map = self._flow_slot
-        arrs = [idx_map[fid] for fid in ids]
-        slots_list = [slot_map[fid] for fid in ids]
-        n = len(arrs)
-        cat = np.concatenate(arrs)
-        counts = np.array([a.shape[0] for a in arrs], dtype=np.intp)
-        offsets = np.zeros(n, dtype=np.intp)
-        np.cumsum(counts[:-1], out=offsets[1:])
-        slots = np.array(slots_list, dtype=np.intp)
-        seg_min = np.minimum.reduceat(self._share_arr[cat], offsets)
-        caps = self._cap_arr[slots]
-        old = self._rate_arr[slots]
-        new = np.minimum(caps, seg_min)
-        rel = self._rate_rel_epsilon
-        if rel > 0.0:
-            threshold = np.maximum(ABS_RATE_EPS, rel * np.abs(old))
-        else:
-            threshold = ABS_RATE_EPS
-        changed: List[Flow] = []
-        rate_arr = self._rate_arr
-        flows = self._flows
-        idx = np.nonzero(np.abs(new - old) > threshold)[0]
-        # One C-side conversion per pass; ``tolist`` yields plain Python
-        # floats (same float64 bits), keeping numpy scalars out of the
-        # flow state and out of every downstream report field.
-        for i, rate in zip(idx.tolist(), new[idx].tolist()):
-            flow = flows[ids[i]]
-            # Inlined Flow.advance_to (same float expression, no call).
-            if now > flow.last_update:
-                flow.remaining = max(
-                    0.0, flow.remaining - flow.rate * (now - flow.last_update)
-                )
-                flow.last_update = now
-            flow.rate = rate
-            rate_arr[slots_list[i]] = rate
-            changed.append(flow)
+        changed.sort(key=lambda f: f.flow_id)
+        self.rate_updates += len(changed)
         return changed
 
 
-__all__ = ["ABS_RATE_EPS", "VECTORIZE_MIN_FLOWS", "Flow", "FlowNetwork"]
+__all__ = ["ABS_RATE_EPS", "Flow", "FlowNetwork"]

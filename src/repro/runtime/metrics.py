@@ -166,10 +166,10 @@ class SimCounters:
     counters* are allowed to differ because they describe how the answer
     was computed, not the answer: ``shares_computed`` (incremental vs
     brute-force allocator), ``vectorized_passes``/``scalar_passes``
-    (which re-rater ran), ``queue_refills``, and the ``agg_*`` family
-    (shared vs per-instance metadata, fast-fidelity collapse).  The
-    golden determinism digests mask exactly that set and pin everything
-    else.
+    and ``queue_refills`` (kept only for the performance ledger), and
+    the ``agg_*`` family (shared vs per-instance metadata, fast-fidelity
+    collapse).  The golden determinism digests mask exactly that set and
+    pin everything else.
     """
 
     events_posted: int = 0
@@ -181,8 +181,11 @@ class SimCounters:
     flows_admitted: int = 0
     #: Sender waits on an exhausted FIFO credit (one per blocked send).
     credit_stalls: int = 0
-    #: Reallocation passes re-rated by the numpy path vs the scalar loop.
+    #: Always 0: the flow network has one re-rater, a plain loop.  Kept
+    #: because the performance ledger reads it.
     vectorized_passes: int = 0
+    #: Always equal to ``reallocations``: every solver pass runs the one
+    #: re-rater.  Kept because the performance ledger reads it.
     scalar_passes: int = 0
     #: Event-queue occupancy high-water mark (cancelled entries included).
     queue_depth_max: int = 0
@@ -227,9 +230,7 @@ class SimCounters:
             f"{self.events_popped} popped "
             f"({self.stale_events_skipped} stale skipped, "
             f"queue depth <= {self.queue_depth_max}); "
-            f"rates: {self.reallocations} reallocation passes "
-            f"({self.vectorized_passes} vectorized / "
-            f"{self.scalar_passes} scalar), "
+            f"rates: {self.reallocations} reallocation passes, "
             f"{self.shares_computed} edge shares computed, "
             f"{self.rate_updates} rate updates; "
             f"{self.flows_admitted} flow(s) admitted, "

@@ -1002,8 +1002,8 @@ class Simulator:
         counters.shares_computed = network.shares_computed
         counters.rate_updates = network.rate_updates
         counters.flows_admitted = network.flows_admitted
-        counters.vectorized_passes = network.vectorized_passes
-        counters.scalar_passes = network.scalar_passes
+        # One re-rater runs every pass (see SimCounters.scalar_passes).
+        counters.scalar_passes = network.reallocations
         queue = self._queue
         # Cancelled (superseded) entries never dispatched; fold them into
         # the pop/stale totals so every posted event counts as either
@@ -1036,7 +1036,6 @@ class Simulator:
             ("sim_credit_stalls_total", counters.credit_stalls),
             ("sim_watchdog_stalls_total", self.stalls_detected),
             ("sim_edge_shares_computed_total", counters.shares_computed),
-            ("sim_vectorized_passes_total", counters.vectorized_passes),
             ("sim_agg_runs_collapsed_total", counters.agg_runs_collapsed),
             ("sim_agg_instances_expanded_total",
              counters.agg_instances_expanded),

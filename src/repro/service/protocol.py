@@ -105,10 +105,18 @@ def _want(payload: dict, key: str, kind, default, *, positive: bool = False):
     value = payload.get(key, default)
     if value is None:
         return None
+    # A JSON number, typed strictly: ``bool`` is an ``int`` subclass and
+    # ``int(2.9)`` truncates, so neither may slip through a conversion.
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (kind is int and isinstance(value, float) and not value.is_integer())
+    ):
+        raise RequestError(f"field {key!r} must be {kind.__name__}")
     try:
         value = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise RequestError(f"field {key!r} must be {kind.__name__}") from None
+    except OverflowError:
+        raise RequestError(f"field {key!r} must be finite") from None
     if positive:
         # NaN passes every <=/< comparison and Infinity survives the
         # min() deadline clamp, so both would defeat the limits built
@@ -171,6 +179,9 @@ def parse_request(op: str, payload: object) -> ServiceRequest:
         raise RequestError(
             "field 'sim_fidelity' must be 'exact' or 'fast'"
         )
+    degraded = payload.get("degraded", False)
+    if not isinstance(degraded, bool):
+        raise RequestError("field 'degraded' must be true or false")
     nodes = _want(payload, "nodes", int, 2, positive=True)
     gpus = _want(payload, "gpus", int, 8, positive=True)
     if nodes * gpus > MAX_WORLD_SIZE:
@@ -190,7 +201,7 @@ def parse_request(op: str, payload: object) -> ServiceRequest:
         mbs=_want(payload, "mbs", int, 8, positive=True),
         deadline_ms=_want(payload, "deadline_ms", float, None, positive=True),
         request_id=request_id,
-        degraded=bool(payload.get("degraded", False)),
+        degraded=degraded,
         sim_fidelity=sim_fidelity,
     )
 

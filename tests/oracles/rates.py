@@ -1,9 +1,8 @@
 """Reference rate solvers and the per-pass water-filling invariant.
 
-The production :class:`~repro.runtime.flows.FlowNetwork` is incremental
-(it recomputes only dirty edges and serves the rest from a share cache)
-and picks a numpy or a scalar re-rater per pass by size.  This module
-holds what it is checked against:
+The production :class:`~repro.runtime.flows.FlowNetwork` is incremental:
+it recomputes only dirty edges and serves the rest from a share cache.
+This module holds what it is checked against:
 
 * :func:`water_filled_share` — one edge's share computed from scratch,
   the expression ``FlowNetwork._edge_share`` must reproduce bit for
@@ -13,7 +12,8 @@ holds what it is checked against:
   from-scratch share)`` within :data:`~repro.runtime.flows.ABS_RATE_EPS`:
   the per-epoch progressive filling of the multi-commodity-flow
   formulation;
-* :class:`ScalarFlowNetwork` — never takes the numpy path;
+* :class:`ScalarFlowNetwork` — computes every edge share with
+  :func:`water_filled_share`;
 * :class:`BruteForceFlowNetwork` — also recomputes every occupied edge
   and re-rates every live flow on every pass (no share cache);
 * :class:`PerInstanceSimulator` (and the two functions it installs) —
@@ -57,17 +57,11 @@ def water_filled_share(network: FlowNetwork, edge: str) -> float:
 
 
 class ScalarFlowNetwork(FlowNetwork):
-    """Every pass re-rated by the plain-Python loop, shares included."""
+    """Every edge share computed from scratch by :func:`water_filled_share`."""
 
     def _edge_share(self, edge: str) -> float:
         self.shares_computed += 1
         return water_filled_share(self, edge)
-
-    def _rerate_vectorized(self, ids: List[int], now: float) -> List[Flow]:
-        self.vectorized_passes -= 1
-        self.scalar_passes += 1
-        flows = self._flows
-        return self._rerate_scalar([flows[fid] for fid in ids], now)
 
 
 class BruteForceFlowNetwork(ScalarFlowNetwork):
@@ -75,13 +69,9 @@ class BruteForceFlowNetwork(ScalarFlowNetwork):
 
     def _reallocate(self, now: float) -> List[Flow]:
         self.reallocations += 1
-        self.scalar_passes += 1
         self.dirty_edges = {}
         self._share = {e: self._edge_share(e) for e in self._edge_flows}
-        changed = self._rerate_scalar(list(self._flows.values()), now)
-        changed.sort(key=lambda f: f.flow_id)
-        self.rate_updates += len(changed)
-        return changed
+        return self._rerate(list(self._flows.values()), now)
 
 
 class RateOracleNetwork(FlowNetwork):

@@ -210,13 +210,6 @@ def test_epsilon_zero_is_default():
     assert config.collapse_microbatches is False
 
 
-def test_both_rerate_paths_engage():
-    """The size rule runs both the numpy and the scalar re-rater."""
-    report = simulate(plan_for("mesh-allreduce", 2, 8, 8))
-    assert report.counters.vectorized_passes > 0
-    assert report.counters.scalar_passes > 0
-
-
 if __name__ == "__main__":
     sims = {name: sim_digest(name) for name in sorted(SIM_RUNS)}
     SIM_GOLDEN.write_text(json.dumps(sims, indent=2, sort_keys=True) + "\n")

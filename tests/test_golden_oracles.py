@@ -2,7 +2,7 @@
 
 Every simulation pinned by ``data/sim_golden.json`` is run again with
 the rate oracle armed (each live flow at its from-scratch water-filled
-share after every solver pass), with the scalar-only and brute-force
+share after every solver pass), with the from-scratch-share and brute-force
 flow networks, and with per-instance schedule bookkeeping.  Each must
 reproduce the golden digest.  One more replay checks that the flow
 network is only ever called at the simulator's current time.

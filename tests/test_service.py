@@ -143,6 +143,44 @@ class TestParseRequest:
                 {"algorithm": "ring-allreduce", "nodes": float("inf")},
             )
 
+    def test_rejects_mistyped_fields(self):
+        # "false" is a truthy string: coercing it would serve the
+        # degraded reference ring to a client that asked not to.
+        for value in ("false", "true", 0, 1, None):
+            with pytest.raises(RequestError, match="degraded"):
+                parse_request(
+                    "compile",
+                    {"algorithm": "ring-allreduce", "degraded": value},
+                )
+        # bool is an int subclass, and int() truncates: both are 400s.
+        for field, value in (
+            ("nodes", True),
+            ("mbs", False),
+            ("buffer_mb", True),
+            ("deadline_ms", True),
+            ("mbs", 2.9),
+            ("gpus", 7.5),
+            ("nodes", "2"),
+            ("buffer_mb", "16"),
+        ):
+            with pytest.raises(RequestError, match=f"{field}.*must be"):
+                parse_request(
+                    "compile", {"algorithm": "ring-allreduce", field: value}
+                )
+
+    def test_accepts_well_typed_numbers(self):
+        req = parse_request(
+            "compile",
+            {"algorithm": "ring-allreduce", "nodes": 2.0, "mbs": 4,
+             "buffer_mb": 16, "degraded": True},
+        )
+        assert (req.nodes, req.mbs, req.buffer_mb) == (2, 4, 16.0)
+        assert type(req.nodes) is int and type(req.buffer_mb) is float
+        assert req.degraded is True
+        assert parse_request(
+            "compile", {"algorithm": "ring-allreduce", "degraded": False}
+        ).degraded is False
+
     def test_accepts_synth_spec_and_inline_source(self):
         assert parse_request(
             "simulate", {"algorithm": "taccl:allgather"}
