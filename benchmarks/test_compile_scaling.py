@@ -1,10 +1,11 @@
 """Cold-compile scaling: indexed vs reference compile path.
 
 Times the three hot compile stages — dependency analysis (fused
-``build_dag``), HPDS scheduling, and state-based TB allocation — with
-the production indexed implementations against the literal reference
-implementations in ``tests/oracles/compile.py`` on growing clusters,
-checking that (a) the two produce bit-identical
+``build_dag``), HPDS scheduling, and state-based TB allocation at
+allowance 0 (the ``lowering`` stage, timed here beside the compile,
+which stops at the pipeline) — with the production indexed
+implementations against the literal reference implementations in
+``tests/oracles/compile.py`` on growing clusters, checking that (a) the two produce bit-identical
 pipelines, TB assignments, and rendered kernels at every scale
 (``compile_fingerprint``), and (b) the aggregate cold-compile speedup on
 the largest cluster clears the 3x acceptance bar.  Writes
@@ -20,12 +21,13 @@ from __future__ import annotations
 import gc
 import json
 import os
+import time
 from pathlib import Path
 
 from conftest import once  # noqa: F401  (pytest fixture)
 
 from repro.algorithms import build_algorithm
-from repro.core import ResCCLCompiler
+from repro.core import ResCCLCompiler, allocate_tbs
 from repro.core.compiler import compile_fingerprint
 from repro.synth import TACCLSynthesizer
 from repro.topology import Cluster
@@ -56,7 +58,9 @@ def _programs(cluster):
 
 
 def _cold_compile(program, cluster, indexed):
-    """Best-of-N cold compile; returns (best stage times, last result).
+    """Best-of-N cold compile plus allowance-0 TB allocation.
+
+    Returns (best stage times, last result, last TB assignments).
 
     ``validate=True`` would time the static validator — shared by both
     paths and untouched by the indexed rewrite — so it is disabled to
@@ -64,11 +68,13 @@ def _cold_compile(program, cluster, indexed):
     """
     if indexed:
         compile_once = ResCCLCompiler(validate=False).compile
+        allocate = allocate_tbs
     else:
         def compile_once(program, cluster):
             return oracle.compile_program(program, cluster, validate=False)
+        allocate = oracle.allocate_tbs
     best = {stage: float("inf") for stage in STAGES}
-    result = None
+    result = assignments = None
     # A collection landing mid-compile skews one mode's wall clock by
     # tens of ms; collect up front, then keep the collector off while
     # the clock runs.
@@ -77,11 +83,15 @@ def _cold_compile(program, cluster, indexed):
     try:
         for _ in range(REPEATS):
             result = compile_once(program, cluster)
+            start = time.perf_counter()
+            assignments = allocate(result.dag, result.pipeline)
+            times = dict(result.phase_times_us)
+            times["lowering"] = (time.perf_counter() - start) * 1e6
             for stage in STAGES:
-                best[stage] = min(best[stage], result.phase_times_us[stage])
+                best[stage] = min(best[stage], times[stage])
     finally:
         gc.enable()
-    return best, result
+    return best, result, assignments
 
 
 def _compile_scaling(scales) -> list:
@@ -90,11 +100,15 @@ def _compile_scaling(scales) -> list:
         cluster = Cluster(nodes=nodes, gpus_per_node=gpus)
         kernel_ranks = [0, cluster.world_size - 1]
         for name, program in _programs(cluster):
-            indexed_us, indexed = _cold_compile(program, cluster, True)
-            reference_us, reference = _cold_compile(program, cluster, False)
+            indexed_us, indexed, tbs = _cold_compile(program, cluster, True)
+            reference_us, reference, reference_tbs = _cold_compile(
+                program, cluster, False
+            )
             identical = compile_fingerprint(
-                indexed, kernel_ranks=kernel_ranks
-            ) == compile_fingerprint(reference, kernel_ranks=kernel_ranks)
+                indexed, kernel_ranks=kernel_ranks, assignments=tbs
+            ) == compile_fingerprint(
+                reference, kernel_ranks=kernel_ranks, assignments=reference_tbs
+            )
             total_indexed = sum(indexed_us.values())
             total_reference = sum(reference_us.values())
             rows.append(
@@ -104,7 +118,7 @@ def _compile_scaling(scales) -> list:
                     "tasks": len(indexed.dag),
                     "edges": indexed.dag.edge_count,
                     "sub_pipelines": indexed.pipeline.depth,
-                    "tbs": indexed.tb_count(),
+                    "tbs": len(tbs),
                     "stage_us_indexed": indexed_us,
                     "stage_us_reference": reference_us,
                     "wall_us_indexed": total_indexed,

@@ -3,7 +3,9 @@
 The paper measures the four serial compiler phases — Parsing, Analysis,
 Scheduling, Lowering — up to 1,024 host-emulated GPUs (~11 minutes,
 once, offline).  This measures the *actual* wall-clock of this
-implementation at 16-256 ranks; growth trends extrapolate.
+implementation at 16-256 ranks; growth trends extrapolate.  Lowering is
+TB allocation plus kernel generation for a one-micro-batch call, timed
+beside the compile, which stops at the pipeline.
 """
 
 from conftest import once

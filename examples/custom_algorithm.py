@@ -7,15 +7,16 @@ Shows the full developer workflow of section 4.2:
    hierarchical AllGather in the Figure 16 style);
 2. parse and statically validate it;
 3. verify its collective semantics symbolically;
-4. compile it with the ResCCL compiler (parsing / analysis / scheduling /
-   lowering phases);
-5. inspect the scheduled pipeline, the TB allocation, and the generated
-   lightweight kernel for rank 0;
-6. execute it and report bandwidth.
+4. compile it with the ResCCL compiler (parsing / analysis / scheduling
+   phases);
+5. inspect the scheduled pipeline, then plan one call — TB allocation and
+   lowering happen there, once the micro-batch count is known — and
+   inspect its TBs and generated lightweight kernel for rank 0;
+6. execute that plan and report bandwidth.
 """
 
 from repro import MB, ResCCLBackend, multi_node, simulate, validate_program
-from repro.core import ResCCLCompiler
+from repro.core import ResCCLCompiler, render_kernel_source
 from repro.lang import parse_program
 from repro.runtime import verify_collective
 
@@ -62,7 +63,7 @@ def main() -> None:
     verify_collective(program).raise_if_failed()
     print("Collective semantics verified: every rank gathers every chunk.\n")
 
-    # 4. Compile through the four offline phases.
+    # 4. Compile through the offline phases, up to the scheduled pipeline.
     compiled = ResCCLCompiler().compile(program, cluster)
     print("Offline compiler phases:")
     for phase, micros in compiled.phase_times_us.items():
@@ -79,20 +80,22 @@ def main() -> None:
         print(f"  sub-pipeline {sp.index}: {len(sp.task_ids)} tasks on "
               f"{len(set(links))} distinct links")
 
-    # 5b. TB allocation.
-    rank0 = [a for a in compiled.assignments if a.rank == 0]
-    print(f"\nRank 0 thread blocks ({len(rank0)}):")
+    # 5b. TB allocation, done per call at the call's micro-batch count.
+    plan = ResCCLBackend().plan(cluster, program, 128 * MB)
+    rank0 = [tb for tb in plan.tb_programs if tb.rank == 0]
+    print(f"\nRank 0 thread blocks at {plan.n_microbatches} micro-batches "
+          f"({len(rank0)}):")
     for tb in rank0:
-        print(f"  window {tb.window}: {tb.label}")
+        print(f"  TB {tb.tb_index}: {tb.label} ({len(tb)} invocations)")
 
-    # 5c. Generated kernel listing.
+    # 5c. Generated kernel listing of the plan that runs.
     print("\nGenerated kernel for rank 0 (first 24 lines):")
-    for line in compiled.kernel_source(0, n_microbatches=8).splitlines()[:24]:
+    source = render_kernel_source(0, plan.tb_programs, plan.dag, program.name)
+    for line in source.splitlines()[:24]:
         print(f"  {line}")
 
     # 6. Execute.
-    backend = ResCCLBackend()
-    report = simulate(backend.plan(cluster, program, 128 * MB))
+    report = simulate(plan)
     print(f"\nExecution: {report.summary()}")
 
 

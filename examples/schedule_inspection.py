@@ -11,6 +11,7 @@ from repro import multi_node
 from repro.algorithms import hm_allreduce, ring_allgather
 from repro.core import (
     ResCCLCompiler,
+    allocate_tbs,
     build_endpoint_groups,
     hpds_schedule,
     rr_schedule,
@@ -51,7 +52,8 @@ def show_tb_timeline() -> None:
     slots = timeline_slots(compiled.dag, compiled.pipeline)
     horizon = max(slots.values()) + 1
     print(f"timeline: {horizon} slots   (#=active window)")
-    for tb in (a for a in compiled.assignments if a.rank == 0):
+    assignments = allocate_tbs(compiled.dag, compiled.pipeline)
+    for tb in (a for a in assignments if a.rank == 0):
         lo, hi = tb.window
         bar = "".join(
             "#" if lo <= slot <= hi else "." for slot in range(horizon)

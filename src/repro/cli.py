@@ -4,7 +4,7 @@ Subcommands::
 
     resccl algos                         # list built-in algorithms
     resccl verify ALGO [options]         # parse/validate/verify a program
-    resccl compile ALGO [--rank R]       # show phases + generated kernel
+    resccl compile ALGO [--rank R]       # show phases + lowered kernel
     resccl run ALGO [--backend B]        # simulate one collective call
     resccl compare ALGO [options]        # all three backends side by side
     resccl trace ALGO [options]          # ASCII Gantt / Chrome trace
@@ -32,8 +32,8 @@ import inspect
 from .algorithms import available_algorithms, build_algorithm
 from .analysis import format_table
 from .baselines import MSCCLBackend, NCCLBackend
-from .core import ResCCLBackend, ResCCLCompiler
-from .core import plancache
+from .core import ResCCLBackend, ResCCLCompiler, allocate_tbs, lower_to_programs
+from .core import plancache, render_kernel_source
 from .experiments import available_experiments, run_experiment
 from .faults import INJECT_SCENARIOS, POLICY_NAMES, run_with_faults
 from .ir.task import parse_collective
@@ -57,11 +57,24 @@ from .synth import (
 from .topology import Cluster, profile_by_name
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and sizes: an integer of at least 1."""
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _check_rank(rank: int, cluster: Cluster) -> None:
+    """Exit 2 on a rank the cluster does not have."""
+    if not 0 <= rank < cluster.world_size:
+        print(f"error: rank {rank} is outside [0, {cluster.world_size})", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--nodes", type=int, default=2, help="server count")
-    parser.add_argument(
-        "--gpus", type=int, default=8, help="GPUs per server"
-    )
+    parser.add_argument("--nodes", type=_positive_int, default=2, help="server count")
+    parser.add_argument("--gpus", type=_positive_int, default=8, help="GPUs per server")
     parser.add_argument(
         "--profile", default="A100", help="GPU profile (A100 or V100)"
     )
@@ -252,21 +265,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_compile(args: argparse.Namespace) -> int:
     cluster = _cluster_from(args)
+    if args.kernel:
+        _check_rank(args.rank, cluster)
     program = _resolve_algorithm(args.algorithm, cluster)
     compiled = ResCCLCompiler(scheduler=args.scheduler).compile(
         program, cluster
     )
+    # Lower as ResCCLBackend.plan does for an --mbs call: report the plan that runs.
+    assignments = allocate_tbs(compiled.dag, compiled.pipeline, pipelining_allowance=args.mbs)
+    tb_programs = lower_to_programs(assignments, args.mbs, nwarps=16)
     print(f"compiled {program.name!r} for {cluster}")
     for phase, micros in compiled.phase_times_us.items():
         print(f"  {phase:<11} {micros / 1000.0:9.2f} ms")
     print(
         f"pipeline: {compiled.pipeline.task_count} tasks in "
         f"{compiled.pipeline.depth} sub-pipelines; "
-        f"{compiled.tb_count()} thread blocks"
+        f"{len(tb_programs)} thread blocks at {args.mbs} micro-batch(es)"
     )
     if args.kernel:
         print()
-        print(compiled.kernel_source(args.rank, n_microbatches=args.mbs))
+        print(render_kernel_source(args.rank, tb_programs, compiled.dag, program.name))
     return 0
 
 
@@ -362,11 +380,12 @@ def cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_ranks(args: argparse.Namespace) -> Optional[List[int]]:
+def _parse_ranks(args: argparse.Namespace, cluster: Cluster) -> Optional[List[int]]:
     """The rank filter of ``trace``/``profile``: ``--ranks`` or ``--rank``.
 
     Returns ``None`` for "all ranks".  Both renderers (Gantt and Chrome
     export) receive the same list, so they always agree on the filter.
+    A rank the cluster does not have exits 2.
     """
     ranks_arg = getattr(args, "ranks", None)
     if ranks_arg:
@@ -381,10 +400,13 @@ def _parse_ranks(args: argparse.Namespace) -> Optional[List[int]]:
             ) from None
         if any(r < 0 for r in parsed):
             return None  # an explicit -1 means "all"
+        for rank in parsed:
+            _check_rank(rank, cluster)
         return parsed or None
     rank = getattr(args, "rank", None)
     if rank is None or rank < 0:
         return None
+    _check_rank(rank, cluster)
     return [rank]
 
 
@@ -410,6 +432,7 @@ def _traced_report(plan, args: argparse.Namespace):
 
 def cmd_trace(args: argparse.Namespace) -> int:
     cluster = _cluster_from(args)
+    ranks = _parse_ranks(args, cluster)
     program = _resolve_algorithm(args.algorithm, cluster)
     backend = _make_backend(args.backend, args.mbs)
     if isinstance(backend, NCCLBackend):
@@ -424,7 +447,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         return 2
     print(report.summary())
     print()
-    ranks = _parse_ranks(args)
     print(ascii_gantt(report, width=args.width, ranks=ranks))
     if args.output:
         write_chrome_trace(report, args.output, ranks=ranks)
@@ -465,7 +487,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     program = _resolve_algorithm(args.algorithm, cluster)
     cluster = _fit_cluster(args, cluster, program)
     backend = _make_backend(args.backend, args.mbs)
-    ranks = _parse_ranks(args)
+    ranks = _parse_ranks(args, cluster)
     try:
         with observe() as obs:
             if isinstance(backend, NCCLBackend):
@@ -733,15 +755,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile.add_argument("--kernel", action="store_true",
                            help="print the generated kernel listing")
     p_compile.add_argument("--rank", type=int, default=0)
-    p_compile.add_argument("--mbs", type=int, default=8,
-                           help="micro-batches in the kernel listing")
+    p_compile.add_argument("--mbs", type=_positive_int, default=8,
+                           help="micro-batches of the lowered plan "
+                           "(as 'run --mbs' with a large enough buffer)")
     _add_cluster_args(p_compile)
 
     p_run = sub.add_parser("run", help="simulate one collective call")
     p_run.add_argument("algorithm")
     p_run.add_argument("--backend", default="resccl")
-    p_run.add_argument("--buffer-mb", type=int, default=256)
-    p_run.add_argument("--mbs", type=int, default=16,
+    p_run.add_argument("--buffer-mb", type=_positive_int, default=256)
+    p_run.add_argument("--mbs", type=_positive_int, default=16,
                        help="micro-batch cap")
     p_run.add_argument(
         "--inject", default=None, metavar="SPEC",
@@ -769,8 +792,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="all three backends side by side")
     p_cmp.add_argument("algorithm")
-    p_cmp.add_argument("--buffer-mb", type=int, default=256)
-    p_cmp.add_argument("--mbs", type=int, default=16)
+    p_cmp.add_argument("--buffer-mb", type=_positive_int, default=256)
+    p_cmp.add_argument("--mbs", type=_positive_int, default=16)
     _add_cache_args(p_cmp)
     _add_cluster_args(p_cmp)
 
@@ -788,8 +811,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_trace.add_argument("algorithm")
     p_trace.add_argument("--backend", default="resccl")
-    p_trace.add_argument("--buffer-mb", type=int, default=64)
-    p_trace.add_argument("--mbs", type=int, default=8)
+    p_trace.add_argument("--buffer-mb", type=_positive_int, default=64)
+    p_trace.add_argument("--mbs", type=_positive_int, default=8)
     p_trace.add_argument("--rank", type=int, default=0,
                          help="rank whose TBs to chart (-1 for all)")
     p_trace.add_argument("--ranks", default=None, metavar="R1,R2,...",
@@ -807,8 +830,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_prof.add_argument("algorithm")
     p_prof.add_argument("--backend", default="resccl")
-    p_prof.add_argument("--buffer-mb", type=int, default=64)
-    p_prof.add_argument("--mbs", type=int, default=8)
+    p_prof.add_argument("--buffer-mb", type=_positive_int, default=64)
+    p_prof.add_argument("--mbs", type=_positive_int, default=8)
     p_prof.add_argument("--ranks", default=None, metavar="R1,R2,...",
                         help="rank filter for the exported trace lanes")
     p_prof.add_argument("--output",

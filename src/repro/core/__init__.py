@@ -5,7 +5,6 @@ from .compiler import (
     CompileResult,
     ResCCLCompiler,
     SCHEDULERS,
-    compile_residual,
 )
 from .hpds import hpds_schedule
 from .kernelgen import lower_to_programs, render_kernel_source
@@ -31,7 +30,6 @@ __all__ = [
     "ResCCLCompiler",
     "CompileResult",
     "SCHEDULERS",
-    "compile_residual",
     "CacheStats",
     "PlanCache",
     "configure_plan_cache",

@@ -88,11 +88,11 @@ class ResCCLBackend:
     ) -> ExecutionPlan:
         """Build the execution plan for one collective call.
 
-        TB allocation is finalized here rather than at compile time: the
-        micro-batch count of this call sets the pipelining allowance of
-        the state-based merge (a connection keeps streaming micro-batches
-        past its static window, so windows closer than one pipeline depth
-        are not truly disjoint).
+        TB allocation and kernel generation run here, once per call shape
+        (compile stops at the pipeline): the micro-batch count of this
+        call sets the pipelining allowance of the state-based merge (a
+        connection keeps streaming micro-batches past its static window,
+        so windows closer than one pipeline depth are not truly disjoint).
 
         When a tuning table is installed (``resccl tune`` +
         :func:`repro.tuning.configure_tuning`) and covers this

@@ -1,23 +1,26 @@
 """The ResCCL offline compiler: DSL text -> optimized execution pipeline.
 
-The four serial phases of Figure 10(a):
+The compiler runs the first three serial phases of Figure 10(a):
 
 1. **Parsing** — ResCCLang source to AST, then elaboration into the flat
    transfer program;
 2. **Analysis** — transfers to the data-dependency DAG (plus validation);
 3. **Scheduling** — HPDS (or the round-robin ablation baseline) over the
-   DAG, producing the global task pipeline;
-4. **Lowering** — task pipeline to TB assignments and generated kernels.
+   DAG, producing the global task pipeline.
+
+It stops at the pipeline.  The fourth phase, **lowering** (TB allocation
+plus kernel generation), depends on the micro-batch count of a call, so
+it runs where that count is known: :meth:`repro.core.backend.
+ResCCLBackend.plan`, the replan path and the ablations.
 
 Each phase's wall-clock time is recorded so the Figure 10(a)
 scalability experiment measures the *actual* cost of this
 implementation, not a model.  With a metrics registry armed, every
 phase also lands one ``compile_wall_us`` histogram observation labelled
-by stage and entry point, and the ``compile``/``compile_residual``
-spans carry per-stage wall counters — the observability contract of the
-cold-compile path (``docs/performance.md``).
+by stage, and the ``compile`` span carries per-stage wall counters — the
+observability contract of the cold-compile path (``docs/performance.md``).
 
-Analysis, scheduling and lowering run near-linearithmic indexed
+Analysis, scheduling and TB allocation run near-linearithmic indexed
 implementations; the literal references they replaced live in
 ``tests/oracles/compile.py``.  :func:`compile_fingerprint` captures
 everything observable about a compile, so tests, benchmarks, golden
@@ -39,7 +42,7 @@ from ..obs.metrics import current_registry
 from ..obs.spans import span as obs_span
 from ..topology import Cluster
 from .hpds import hpds_schedule
-from .kernelgen import render_kernel_source
+from .kernelgen import lower_to_programs, render_kernel_source
 from .pipeline import GlobalPipeline
 from .rr import rr_schedule
 from .tballoc import TBAssignment, allocate_tbs
@@ -50,11 +53,12 @@ SCHEDULERS: Dict[str, Callable[..., GlobalPipeline]] = {
 }
 
 
-def _observe_stage_wall(stage: str, micros: float, entry: str) -> None:
-    """Publish one cold-compile stage wall time to the ambient registry."""
-    registry = current_registry()
-    if registry is not None:
-        registry.observe("compile_wall_us", micros, stage=stage, entry=entry)
+def resolve_scheduler(name: str) -> Callable[..., GlobalPipeline]:
+    """The scheduling pass registered as ``name``; ``ValueError`` if none."""
+    if name not in SCHEDULERS:
+        known = ", ".join(sorted(SCHEDULERS))
+        raise ValueError(f"unknown scheduler {name!r}; known: {known}")
+    return SCHEDULERS[name]
 
 
 @dataclass
@@ -64,7 +68,6 @@ class CompileResult:
     program: AlgoProgram
     dag: DependencyDAG
     pipeline: GlobalPipeline
-    assignments: List[TBAssignment]
     cluster: Cluster
     scheduler: str
     phase_times_us: Dict[str, float] = field(default_factory=dict)
@@ -78,33 +81,27 @@ class CompileResult:
     def total_time_us(self) -> float:
         return sum(self.phase_times_us.values())
 
-    def kernel_source(self, rank: int, n_microbatches: int = 1) -> str:
-        """Render the generated kernel listing for one rank."""
-        return render_kernel_source(
-            rank,
-            self.assignments,
-            self.dag,
-            n_microbatches,
-            algo_name=self.program.name,
-        )
-
-    def tb_count(self) -> int:
-        return len(self.assignments)
-
 
 def compile_fingerprint(
-    result: CompileResult, kernel_ranks: Optional[List[int]] = None
+    result: CompileResult,
+    kernel_ranks: Optional[List[int]] = None,
+    assignments: Optional[List[TBAssignment]] = None,
 ) -> dict:
     """Content fingerprint of a compile's observable outputs.
 
     Captures the global pipeline (per-sub-pipeline task sequences), the
     TB assignments (per-TB endpoint groups with sides, peers, ordered
     task ids, and windows), and — when ``kernel_ranks`` is given — the
-    rendered kernel source per rank.  Two compiles are bit-identical iff
+    kernel source per rank, rendered from those assignments lowered at
+    one micro-batch.  ``assignments`` defaults to the allowance-0
+    allocation of ``result``; the reference-equivalence suite passes the
+    oracle's allocation instead.  Two compiles are bit-identical iff
     their fingerprints compare equal; the golden digests, the
     reference-equivalence suite and the compile-scaling benchmark all
     assert on this.
     """
+    if assignments is None:
+        assignments = allocate_tbs(result.dag, result.pipeline)
     fp = {
         "scheduler": result.pipeline.scheduler,
         "pipeline": [list(sp.task_ids) for sp in result.pipeline.sub_pipelines],
@@ -116,18 +113,22 @@ def compile_fingerprint(
                     for g in tb.groups
                 ],
             )
-            for tb in result.assignments
+            for tb in assignments
         ],
     }
     if kernel_ranks is not None:
+        programs = lower_to_programs(assignments, 1, nwarps=16)
         fp["kernels"] = {
-            rank: result.kernel_source(rank) for rank in kernel_ranks
+            rank: render_kernel_source(
+                rank, programs, result.dag, result.program.name
+            )
+            for rank in kernel_ranks
         }
     return fp
 
 
 class ResCCLCompiler:
-    """Compiles ResCCLang algorithms into scheduled TB pipelines.
+    """Compiles ResCCLang algorithms into scheduled task pipelines.
 
     Args:
         scheduler: ``"hpds"`` (default) or ``"rr"`` (the ablation
@@ -136,9 +137,7 @@ class ResCCLCompiler:
     """
 
     def __init__(self, scheduler: str = "hpds", validate: bool = True) -> None:
-        if scheduler not in SCHEDULERS:
-            known = ", ".join(sorted(SCHEDULERS))
-            raise ValueError(f"unknown scheduler {scheduler!r}; known: {known}")
+        resolve_scheduler(scheduler)
         self.scheduler = scheduler
         self.validate = validate
 
@@ -148,7 +147,7 @@ class ResCCLCompiler:
         cluster: Cluster,
         frontend: Optional[Tuple[AlgoProgram, DependencyDAG]] = None,
     ) -> CompileResult:
-        """Run the full pipeline on DSL source text or a built program.
+        """Parse, analyze and schedule DSL source text or a built program.
 
         ``frontend`` optionally supplies an already-parsed ``(program,
         dag)`` pair for this exact (algorithm, cluster, validate)
@@ -194,14 +193,10 @@ class ResCCLCompiler:
                 )
             times["scheduling"] = (time.perf_counter() - start) * 1e6
 
-            # Phase 4: Lowering (pipeline -> TB assignments).
-            start = time.perf_counter()
-            with obs_span("lowering"):
-                assignments = allocate_tbs(dag, pipeline)
-            times["lowering"] = (time.perf_counter() - start) * 1e6
-
-            for stage, micros in times.items():
-                _observe_stage_wall(stage, micros, entry="full")
+            registry = current_registry()
+            if registry is not None:
+                for stage, micros in times.items():
+                    registry.observe("compile_wall_us", micros, stage=stage)
             compile_sp.set(
                 total_wall_us=sum(times.values()),
                 **{f"{stage}_wall_us": t for stage, t in times.items()},
@@ -211,53 +206,10 @@ class ResCCLCompiler:
             program=program,
             dag=dag,
             pipeline=pipeline,
-            assignments=assignments,
             cluster=cluster,
             scheduler=self.scheduler,
             phase_times_us=times,
         )
-
-
-def compile_residual(
-    dag: DependencyDAG,
-    scheduler: str = "hpds",
-    pipelining_allowance: int = 1,
-) -> Tuple[GlobalPipeline, List[TBAssignment]]:
-    """Scheduling + lowering for an already-built (residual) DAG.
-
-    The replan-and-resume recovery path enters the pipeline here: it has
-    no DSL source and must not re-run whole-program validation — its
-    transfer set is a precedence-closed *residue* of a collective, built
-    directly against the degraded cluster (whose link annotations the DAG
-    already carries).  Phases 3 and 4 are identical to a full compile:
-    HPDS (or round-robin) over the DAG, then state-based TB allocation.
-
-    Returns ``(pipeline, assignments)``; kernel generation stays with the
-    caller, which knows the resume plan's micro-batch count.
-    """
-    if scheduler not in SCHEDULERS:
-        known = ", ".join(sorted(SCHEDULERS))
-        raise ValueError(f"unknown scheduler {scheduler!r}; known: {known}")
-    with obs_span("compile_residual", scheduler=scheduler) as sp:
-        start = time.perf_counter()
-        pipeline = SCHEDULERS[scheduler](dag)
-        pipeline.check_all(dag)
-        scheduling_us = (time.perf_counter() - start) * 1e6
-        start = time.perf_counter()
-        assignments = allocate_tbs(
-            dag, pipeline, pipelining_allowance=pipelining_allowance
-        )
-        lowering_us = (time.perf_counter() - start) * 1e6
-        _observe_stage_wall("scheduling", scheduling_us, entry="residual")
-        _observe_stage_wall("lowering", lowering_us, entry="residual")
-        sp.set(
-            dag_nodes=len(dag),
-            sub_pipelines=pipeline.depth,
-            tbs=len(assignments),
-            scheduling_wall_us=scheduling_us,
-            lowering_wall_us=lowering_us,
-        )
-    return pipeline, assignments
 
 
 __all__ = [
@@ -265,5 +217,5 @@ __all__ = [
     "CompileResult",
     "SCHEDULERS",
     "compile_fingerprint",
-    "compile_residual",
+    "resolve_scheduler",
 ]

@@ -19,6 +19,7 @@ the same kernel, used by the examples and documentation.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Dict, List
 
 from ..ir.dag import DependencyDAG
@@ -72,18 +73,19 @@ def _primitive_name(side: Side, op: CommType) -> str:
 
 def render_kernel_source(
     rank: int,
-    assignments: List[TBAssignment],
+    tb_programs: List[TBProgram],
     dag: DependencyDAG,
-    n_microbatches: int,
     algo_name: str = "algo",
 ) -> str:
     """CUDA-style listing of one rank's generated kernel.
 
-    The listing makes the three generation dimensions visible: the kernel
-    is the rank dimension, each ``case`` arm is a TB, and each loop nest
-    is one pipeline-dimension entry cycling through its micro-batches.
+    Renders lowered programs (:func:`lower_to_programs`), so the listing
+    shows a plan that actually runs.  It makes the three generation
+    dimensions visible: the kernel is the rank dimension, each ``case``
+    arm is a TB, and each loop nest is one pipeline-dimension entry — a
+    run of consecutive invocations of one ``(task, side)`` — cycling
+    through its micro-batches.
     """
-    rank_tbs = [a for a in assignments if a.rank == rank]
     lines = [
         f"// ResCCL generated kernel — {algo_name}, rank {rank}",
         "// Direct execution: no runtime interpreter, one-time pipeline load.",
@@ -92,11 +94,10 @@ def render_kernel_source(
         "  load_pipeline(comm);  // t_Load, paid once",
         "  switch (blockIdx.x) {",
     ]
-    for tb_index, assignment in enumerate(rank_tbs):
-        lines.append(f"  case {tb_index}:  // {assignment.label}")
-        for pipeline_index, (task_id, side) in enumerate(
-            assignment.ordered_sides()
-        ):
+    for tb in (p for p in tb_programs if p.rank == rank):
+        lines.append(f"  case {tb.tb_index}:  // {tb.label}")
+        entries = groupby(tb.invocations, key=lambda i: (i.task_id, i.side))
+        for pipeline_index, ((task_id, side), run) in enumerate(entries):
             task = dag.task(task_id)
             prim = _primitive_name(side, task.op)
             peer = task.dst if side is Side.SEND else task.src
@@ -105,7 +106,7 @@ def render_kernel_source(
                 f"chunk {task.chunk} ({task.link})"
             )
             lines.append(
-                f"    for (int mb = 0; mb < {n_microbatches}; ++mb)"
+                f"    for (int mb = 0; mb < {sum(1 for _ in run)}; ++mb)"
             )
             lines.append(
                 f"      {prim}(comm, /*peer=*/{peer}, "

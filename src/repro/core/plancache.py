@@ -12,9 +12,11 @@ executions:
   fingerprint` (shape + hardware constants + per-edge capacities, so a
   degraded fabric never aliases a healthy one), the scheduler name, the
   validation flag, and :data:`CACHE_FORMAT_VERSION`.
-* **In-process tier** — an LRU of :class:`CompileResult` objects.
-  Results are treated as immutable by every caller (TB allocation at
-  plan time re-derives assignments from the cached DAG + pipeline).
+* **In-process tier** — an LRU of :class:`CompileResult` objects, each
+  holding a parsed program, its DAG and its scheduled pipeline.  Results
+  are treated as immutable by every caller; TB allocation and kernel
+  generation run at plan time, once per micro-batch count, in the
+  lowered tier (:meth:`PlanCache.lowered`).
 * **On-disk tier** — opt-in (``--cache-dir``, the ``RESCCL_CACHE_DIR``
   environment variable, or :func:`configure`): one pickle per key under
   the cache directory, written atomically.  A version bump or an unknown
@@ -27,10 +29,8 @@ executions:
 * **Front-end tier** — ``(source, topology, validate)`` →
   ``(program, DAG)``, so recompiling the same algorithm under a
   different scheduler (the Figure 10(b) HPDS-vs-RR sweeps) reuses
-  parsing and analysis.  :func:`~repro.core.compiler.compile_residual`
-  is the cache-bypassing phase-3 entry: it is handed an already-built
-  residual DAG, so it reuses the front end by construction and never
-  re-parses.
+  parsing and analysis.  The replan path bypasses the cache: it
+  schedules an already-built residual DAG, so it never re-parses.
 
 Hits and misses are published to the ambient metrics registry
 (``compile_cache_{hits,misses}_total``) and tracked on
@@ -58,7 +58,8 @@ from ..obs.metrics import current_registry
 #: Bump whenever CompileResult (or anything reachable from it) changes
 #: shape — stale on-disk entries are then invisible, not corrupt.
 #: v2: CompileResult grew ``cache_key`` (the lowered-tier memo anchor).
-CACHE_FORMAT_VERSION = 2
+#: v3: CompileResult lost ``assignments`` (compile stops at the pipeline).
+CACHE_FORMAT_VERSION = 3
 
 #: Default in-process LRU capacity (compiled pipelines are small
 #: relative to a simulation's working set).
@@ -173,7 +174,7 @@ class PlanCache:
         ``compiler`` is a :class:`~repro.core.compiler.ResCCLCompiler`;
         its ``scheduler`` and ``validate`` attributes are part of the
         key.  On a full miss the front-end tier may still supply the
-        parsed program + DAG so only scheduling and lowering run.
+        parsed program + DAG so only scheduling runs.
         """
         source = self._source_of(algorithm)
         key = self.compile_key(
@@ -210,15 +211,17 @@ class PlanCache:
     def lowered(self, cache_key: str, *knobs, build):
         """Memoized TB allocation + kernel lowering for one plan call.
 
-        ``plan()`` re-derives TB assignments and lowers them on every
-        call even when the compile itself is a cache hit — for large
-        winners that lowering dominates the request-time cost.  This
-        tier memoizes ``build()`` under ``(cache_key, *knobs)``, where
-        ``cache_key`` is the :class:`CompileResult`'s content hash and
-        ``knobs`` are the plan-shaping inputs (micro-batch count,
-        pipelining allowance, warp count).  Results built
-        outside the cache carry an empty ``cache_key`` and bypass the
-        tier rather than alias each other.
+        A compile stops at the pipeline, so every plan call would
+        otherwise allocate TBs and lower them even when the compile
+        itself is a cache hit — for large winners that lowering
+        dominates the request-time cost.  This tier memoizes ``build()``
+        under ``(cache_key, *knobs)``, where ``cache_key`` is the
+        :class:`CompileResult`'s content hash and ``knobs`` are the
+        plan-shaping inputs (micro-batch count, pipelining allowance,
+        warp count; the service's compile op keys its fingerprint under
+        ``"fingerprint"``).  Results built outside the cache carry an
+        empty ``cache_key`` and bypass the tier rather than alias each
+        other.
         """
         if not cache_key or self.capacity <= 0:
             return build()

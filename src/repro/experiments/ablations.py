@@ -275,29 +275,6 @@ def run_protocols(sizes_mb=(1, 4, 16, 64, 512)) -> ExperimentResult:
 # ----------------------------------------------------------------------
 
 
-def _run_with_chunk(cluster, program, buffer_bytes, chunk_bytes):
-    compiled = ResCCLCompiler().compile(program, cluster)
-    n_mb, chunk = plan_microbatches(
-        buffer_bytes,
-        program.nchunks,
-        target_chunk_bytes=chunk_bytes,
-        max_microbatches=512,
-    )
-    assignments = allocate_tbs(
-        compiled.dag, compiled.pipeline, pipelining_allowance=n_mb
-    )
-    plan = ExecutionPlan(
-        name=f"{program.name}/chunk={chunk_bytes / MB:g}MB",
-        cluster=cluster,
-        program=program,
-        dag=compiled.dag,
-        n_microbatches=n_mb,
-        chunk_bytes=chunk,
-        tb_programs=lower_to_programs(assignments, n_mb, nwarps=16),
-    )
-    return simulate(plan)
-
-
 def run_chunk_size(
     chunk_sizes_mb=(0.25, 0.5, 1.0, 2.0, 4.0, 16.0), buffer_mb: int = 256
 ) -> ExperimentResult:
@@ -312,11 +289,12 @@ def run_chunk_size(
     program = hm_allreduce(2, 8)
     results = {}
     for chunk_mb in chunk_sizes_mb:
-        report = _run_with_chunk(
-            cluster, program, buffer_mb * MB, chunk_mb * MB
+        backend = ResCCLBackend(
+            target_chunk_kb=int(chunk_mb * 1024), max_microbatches=512
         )
-        n_mb = round(buffer_mb * MB / (program.nchunks * chunk_mb * MB))
-        results[chunk_mb] = (max(1, n_mb), report.algo_bandwidth_gbps)
+        plan = backend.plan(cluster, program, buffer_mb * MB)
+        report = simulate(plan)
+        results[chunk_mb] = (plan.n_microbatches, report.algo_bandwidth_gbps)
 
     rows = [
         [f"{chunk_mb:g} MB", str(n_mb), f"{gbps:.1f}"]

@@ -24,9 +24,9 @@ only the remaining demand:
    surviving fabric cannot realize the residue — :class:`ReplanInfeasible`
    with ``partitioned=True``.
 4. **Pipeline re-entry** — the residual DAG is built against the degraded
-   cluster and handed to :func:`repro.core.compiler.compile_residual`
-   (HPDS → state-based TB allocation), then lowered to TB programs: the
-   same compile stack as a primary plan, minus DSL parsing/validation.
+   cluster, scheduled (HPDS, or the plan's ablation scheduler), given a
+   state-based TB allocation and lowered to TB programs: the same stack
+   as a primary plan, minus DSL parsing/validation.
 
 Every resume task carries a
 :class:`~repro.analysis.verify_delivery.ResumeTaskMeta` record tying it
@@ -45,8 +45,9 @@ from ..analysis.verify_delivery import (
     RELAY_OUT,
     ResumeTaskMeta,
 )
-from ..core.compiler import compile_residual
+from ..core.compiler import resolve_scheduler
 from ..core.kernelgen import lower_to_programs
+from ..core.tballoc import allocate_tbs
 from ..ir.dag import build_dag
 from ..ir.task import CommType, Transfer
 from ..lang.builder import AlgoProgram
@@ -149,7 +150,9 @@ def build_resume_plan(
     Raises:
         ReplanInfeasible: the surviving topology cannot deliver some
             residual transfer (``partitioned=True`` when no relay exists).
+        ValueError: ``scheduler`` names no registered scheduling pass.
     """
+    schedule = resolve_scheduler(scheduler)
     with obs_span("recovery_replan", plan=plan.name) as sp:
         residue = checkpoint.residual_instances()
         if not residue:
@@ -259,9 +262,9 @@ def build_resume_plan(
         residual_program.transfers.extend(transfers)
 
         dag = build_dag(transfers, degraded)
-        _pipeline, assignments = compile_residual(
-            dag, scheduler=scheduler, pipelining_allowance=1
-        )
+        pipeline = schedule(dag)
+        pipeline.check_all(dag)
+        assignments = allocate_tbs(dag, pipeline, pipelining_allowance=1)
         tb_programs = lower_to_programs(assignments, 1, nwarps=nwarps)
         resume_exec = ExecutionPlan(
             name=f"{plan.name}+replan",

@@ -43,6 +43,7 @@ from ..algorithms.ring import ring_allgather, ring_allreduce, ring_reducescatter
 from ..core import ResCCLBackend
 from ..core.compiler import compile_fingerprint
 from ..core.plancache import get_cache
+from ..core.tballoc import allocate_tbs
 from ..ir.task import Collective, parse_collective
 from ..lang import parse_program
 from ..runtime import MB, simulate
@@ -413,13 +414,21 @@ def execute(payload: dict) -> dict:
                             use_tuning=False,
                         )
         compiled = backend.compile(program, cluster)
+
+        def fingerprint():
+            assignments = allocate_tbs(compiled.dag, compiled.pipeline)
+            fp = compile_fingerprint(compiled, assignments=assignments)
+            return result_digest(fp), len(assignments)
+
+        # Memoized beside the lowered plans: a warm request allocates no TBs.
+        digest, tb_count = cache.lowered(compiled.cache_key, "fingerprint", build=fingerprint)
         result = {
             "algorithm": program.name,
             "tuned": tuned,
-            "fingerprint": result_digest(compile_fingerprint(compiled)),
+            "fingerprint": digest,
             "tasks": compiled.pipeline.task_count,
             "sub_pipelines": compiled.pipeline.depth,
-            "tb_count": compiled.tb_count(),
+            "tb_count": tb_count,
             "phase_times_us": dict(compiled.phase_times_us),
         }
     else:

@@ -91,6 +91,63 @@ class TestCompile:
             == 0
         )
 
+    def test_reports_the_plan_that_runs(self, capsys):
+        """compile --mbs N lowers exactly as an N-micro-batch plan does."""
+        from repro.algorithms import build_algorithm
+        from repro.core import ResCCLBackend
+        from repro.runtime import MB
+        from repro.topology import single_node
+
+        argv = ["mesh-reducescatter", "--nodes", "1", "--gpus", "8"]
+        assert main(["compile", *argv, "--mbs", "8", "--kernel"]) == 0
+        out = capsys.readouterr().out
+        cluster = single_node(8)
+        plan = ResCCLBackend(max_microbatches=8).plan(
+            cluster, build_algorithm("mesh-reducescatter", cluster), 256 * MB
+        )
+        assert plan.n_microbatches == 8
+        assert len(plan.tb_programs) == 112
+        assert "; 112 thread blocks at 8 micro-batch(es)" in out
+        rank0 = [tb for tb in plan.tb_programs if tb.rank == 0]
+        assert out.count("  case ") == len(rank0) == 14
+
+
+class TestMalformedCounts:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compile", "ring-allreduce", "--nodes", "0"],
+            ["run", "ring-allreduce", "--gpus", "-1"],
+            ["run", "ring-allreduce", "--buffer-mb", "0"],
+            ["run", "ring-allreduce", "--buffer-mb", "-4"],
+            ["run", "ring-allreduce", "--mbs", "0"],
+            ["compile", "ring-allreduce", "--mbs", "0"],
+            ["trace", "ring-allreduce", "--mbs", "two"],
+        ],
+    )
+    def test_non_positive_count_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "error: argument --" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compile", "ring-allreduce", "--kernel", "--rank", "99"],
+            ["trace", "ring-allreduce", "--rank", "42"],
+            ["trace", "ring-allreduce", "--ranks", "1,42"],
+            ["profile", "ring-allreduce", "--ranks", "8"],
+        ],
+    )
+    def test_rank_outside_cluster_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--nodes", "1", "--gpus", "8"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "is outside [0, 8)" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestRunAndCompare:
     def test_run_resccl(self, capsys):

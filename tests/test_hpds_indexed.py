@@ -51,7 +51,11 @@ def assert_identical_compile(program, cluster, scheduler="hpds"):
     reference = oracle.compile_program(program, cluster, scheduler=scheduler)
     ranks = list(range(cluster.world_size))
     assert compile_fingerprint(indexed, kernel_ranks=ranks) == (
-        compile_fingerprint(reference, kernel_ranks=ranks)
+        compile_fingerprint(
+            reference,
+            kernel_ranks=ranks,
+            assignments=oracle.allocate_tbs(reference.dag, reference.pipeline),
+        )
     )
     return indexed
 
@@ -107,9 +111,9 @@ class TestDegradedReplan:
     def test_resume_plan_identical(self):
         """A degraded-cluster residual compile is bit-identical too.
 
-        The replan path enters the compiler at ``compile_residual`` with
-        a DAG built straight from residual transfers on the degraded
-        cluster — no DSL source, relay detours included — so it
+        The replan path schedules, allocates and lowers a DAG built
+        straight from residual transfers on the degraded cluster — no
+        DSL source, relay detours included — so it
         exercises fused analysis + indexed scheduling + indexed TB
         allocation on inputs no full compile produces.  The reference
         stages rebuild the resume plan's DAG and TB programs from its

@@ -60,9 +60,23 @@ class TestLowering:
         assert all(tb.nwarps == 12 for tb in programs)
 
 
+def lowered(compiled, n_mb):
+    """The TB programs a plan with ``n_mb`` micro-batches runs."""
+    assignments = allocate_tbs(
+        compiled.dag, compiled.pipeline, pipelining_allowance=n_mb
+    )
+    return lower_to_programs(assignments, n_mb, nwarps=16)
+
+
+def listing(compiled, rank, n_mb=1):
+    return render_kernel_source(
+        rank, lowered(compiled, n_mb), compiled.dag, compiled.program.name
+    )
+
+
 class TestKernelSource:
     def test_listing_has_three_dimensions(self, compiled_ring):
-        source = compiled_ring.kernel_source(0, n_microbatches=4)
+        source = listing(compiled_ring, 0, n_mb=4)
         # Rank dimension: one kernel per rank.
         assert "_r0" in source
         # TB dimension: switch over blockIdx.
@@ -74,20 +88,32 @@ class TestKernelSource:
     def test_listing_uses_primitive_vocabulary(self):
         cluster = multi_node(2, 4)
         compiled = ResCCLCompiler().compile(hm_allreduce(2, 4), cluster)
-        source = compiled.kernel_source(0, n_microbatches=2)
+        source = listing(compiled, 0, n_mb=2)
         assert "send(" in source
         assert "recvReduceCopy(" in source
 
     def test_one_time_load(self, compiled_ring):
-        source = compiled_ring.kernel_source(1)
+        source = listing(compiled_ring, 1)
         assert "load_pipeline" in source
         assert source.count("load_pipeline") == 1
+
+    @pytest.mark.parametrize("n_mb", [1, 3, 8])
+    def test_listing_renders_the_lowered_programs(self, n_mb):
+        """One arm per lowered TB; one loop per (task, side) run."""
+        cluster = multi_node(2, 4)
+        compiled = ResCCLCompiler().compile(hm_allreduce(2, 4), cluster)
+        programs = lowered(compiled, n_mb)
+        rank_tbs = [tb for tb in programs if tb.rank == 0]
+        source = render_kernel_source(0, programs, compiled.dag, "hm")
+        assert source.count("  case ") == len(rank_tbs)
+        loops = source.count(f"for (int mb = 0; mb < {n_mb}; ++mb)")
+        assert loops * n_mb == sum(len(tb) for tb in rank_tbs)
 
 
 class TestCompiler:
     def test_phase_times_recorded(self, compiled_ring):
         times = compiled_ring.phase_times_us
-        assert set(times) == {"parsing", "analysis", "scheduling", "lowering"}
+        assert set(times) == {"parsing", "analysis", "scheduling"}
         assert all(t >= 0 for t in times.values())
         assert compiled_ring.total_time_us == sum(times.values())
 
@@ -127,6 +153,3 @@ class TestCompiler:
         partial.transfer(0, 1, 0, 0, "recv")
         compiled = ResCCLCompiler(validate=False).compile(partial, cluster)
         assert len(compiled.dag) == 1
-
-    def test_tb_count(self, compiled_ring):
-        assert compiled_ring.tb_count() == len(compiled_ring.assignments)

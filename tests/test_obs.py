@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro import MB, ResCCLBackend, multi_node
+from repro import MB, ResCCLBackend, ResCCLCompiler, multi_node
 from repro.algorithms import hm_allreduce
 from repro.obs import (
     MetricsRegistry,
@@ -346,7 +346,27 @@ class TestRuntimeIntegration:
             c for c in plan_span.children if c.name == "compile"
         ]
         phases = [c.name for c in compile_span.children]
-        assert phases == ["parsing", "analysis", "scheduling", "lowering"]
+        assert phases == ["parsing", "analysis", "scheduling"]
+
+    @staticmethod
+    def _span_names(spans):
+        for sp in spans:
+            yield sp.name
+            yield from TestRuntimeIntegration._span_names(sp.children)
+
+    def test_cold_plan_allocates_tbs_once(self):
+        """Compile stops at the pipeline; the plan lowers exactly once."""
+        cluster = multi_node(2, 4)
+        with observe() as obs:
+            ResCCLCompiler().compile(hm_allreduce(2, 4), cluster)
+        assert "tballoc" not in set(self._span_names(obs.tracer.roots))
+        with observe() as obs:
+            ResCCLBackend(max_microbatches=4).plan(
+                cluster, hm_allreduce(2, 4), 16 * MB
+            )
+        names = list(self._span_names(obs.tracer.roots))
+        assert names.count("tballoc") == 1
+        assert names.count("kernelgen") == 1
 
     def test_disarmed_run_identical(self, plan):
         baseline = simulate(plan)

@@ -116,7 +116,11 @@ class TestDiskTier:
         assert loaded is not compiled  # new object, same content
         assert loaded.scheduler == compiled.scheduler
         assert loaded.pipeline.task_count == compiled.pipeline.task_count
-        assert len(loaded.assignments) == len(compiled.assignments)
+        assert loaded.dag.preds == compiled.dag.preds
+        assert (
+            loaded.pipeline.ordered_task_ids()
+            == compiled.pipeline.ordered_task_ids()
+        )
 
     def test_corrupt_entry_is_a_miss(self, tmp_path, cluster, program):
         compiler = ResCCLCompiler()

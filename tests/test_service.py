@@ -647,7 +647,9 @@ class TestDaemonRobustness:
         ))
         daemon.start()
         try:
-            body = dict(SLOW)  # cold for this daemon: >1s compile
+            # Cold for this daemon: compile plus simulate, about 0.5 s
+            # on a 2-vCPU VM.
+            body = dict(SLOW)
             outcome = {}
 
             def leader():
@@ -699,11 +701,21 @@ class TestDaemonRobustness:
                     except ServiceError:
                         pass
 
-            for nodes in (6, 7):
+            def wait_until(condition, what):
+                deadline = time.time() + 30
+                while not condition() and time.time() < deadline:
+                    time.sleep(0.005)
+                assert condition(), f"{what} never happened"
+
+            filled = (
+                (6, lambda: daemon.pool.busy_pids(), "worker went busy"),
+                (7, lambda: daemon.pool.queue_depth() == 1, "queue filled"),
+            )
+            for nodes, condition, what in filled:
                 thread = threading.Thread(target=call, args=(nodes,))
                 thread.start()
                 blockers.append(thread)
-                time.sleep(0.3)
+                wait_until(condition, what)
             with ServiceClient("127.0.0.1", daemon.port) as client:
                 with pytest.raises(ServiceOverloaded) as excinfo:
                     client.simulate(**{**SLOW, "nodes": 8})
