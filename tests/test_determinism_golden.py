@@ -26,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.algorithms import build_algorithm
+from repro.baselines import MSCCLBackend, NCCLBackend
 from repro.core import ResCCLBackend
 from repro.core.compiler import ResCCLCompiler, compile_fingerprint
 from repro.faults import run_with_faults
@@ -126,6 +127,20 @@ def golden_sim_runs():
         return [simulate(plan, background_traffic=[((edge,), 500.0)])]
 
     runs["mesh-allreduce@2x8/background"] = background
+
+    def nccl_ring():
+        cluster = Cluster(nodes=2, gpus_per_node=8)
+        backend = NCCLBackend(max_microbatches=4)
+        return [simulate(backend.plan(cluster, Collective.ALLREDUCE, 8 * MB))]
+
+    def msccl_interpreter():
+        cluster = Cluster(nodes=2, gpus_per_node=8)
+        program = build_algorithm("hm-allreduce", cluster)
+        backend = MSCCLBackend(max_microbatches=4)
+        return [simulate(backend.plan(cluster, program, 8 * MB))]
+
+    runs["nccl/ring-allreduce@2x8"] = nccl_ring
+    runs["msccl/hm-allreduce@2x8/interpreter"] = msccl_interpreter
     for path in CORPUS:
         runs[f"examples/{path.name}"] = (
             lambda path=path: [simulate(_corpus_plan(path))]
