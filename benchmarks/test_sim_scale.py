@@ -3,10 +3,10 @@
 Sweeps mesh-allreduce from 2x8 up to 64x8 (512 GPUs) and records, per
 scale, the wall clock of the optimized simulator (incremental re-rater
 over a per-edge share cache + earliest-wins lazy invalidation + one
-solver pass per event instant + micro-batch aggregation) against the
-pre-scale-out discipline (from-scratch edge shares, per-instance
-bookkeeping, eager repost-every-change invalidation), rebuilt from the
-reference classes in ``tests/oracles/rates.py`` and
+solver pass per event instant + a step table lowered once per TB)
+against the pre-scale-out discipline (from-scratch edge shares, every
+step lowered from scratch, eager repost-every-change invalidation),
+rebuilt from the reference classes in ``tests/oracles/rates.py`` and
 ``tests/oracles/eager.py``.  Writes ``BENCH_sim_scale.json`` at the repo
 root for CI diffing.
 
@@ -49,7 +49,7 @@ from repro.runtime.metrics import SimCounters
 from repro.runtime.simulator import Simulator, simulate
 from repro.topology import Cluster
 from tests.oracles.eager import EagerSimulator
-from tests.oracles.rates import PerInstanceSimulator, ScalarFlowNetwork
+from tests.oracles.rates import FromScratchStepSimulator, ScalarFlowNetwork
 
 OUT = Path(__file__).resolve().parent.parent / "BENCH_sim_scale.json"
 
@@ -72,15 +72,15 @@ MAX_SCALING_EXPONENT = 1.35
 MAX_FAST_REL_ERROR = 0.15
 
 #: The pre-scale-out simulator discipline: from-scratch edge shares
-#: (network), per-instance micro-batch bookkeeping, and eager
+#: (network), every step lowered from scratch, and eager
 #: repost-every-rate-change event invalidation (simulator).
 BASELINE = dict(
     network="ScalarFlowNetwork",
-    simulator=["EagerSimulator", "PerInstanceSimulator"],
+    simulator=["EagerSimulator", "FromScratchStepSimulator"],
 )
 
 
-class _BaselineSimulator(EagerSimulator, PerInstanceSimulator):
+class _BaselineSimulator(EagerSimulator, FromScratchStepSimulator):
     network_class = ScalarFlowNetwork
 
 
@@ -148,7 +148,6 @@ def _sweep():
             "rate_updates": c.rate_updates,
             "reallocations": c.reallocations,
             "queue_depth_max": c.queue_depth_max,
-            "agg_tasks_cached": c.agg_tasks_cached,
             "completion_time_us": new.completion_time_us,
             "wall_s": walls[0],
             "wall_s_baseline": walls[1] if time_baseline else None,

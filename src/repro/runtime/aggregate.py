@@ -8,13 +8,12 @@ dependency shape — everything about them is identical except *when* they
 execute, because the TB serializes them.  Aggregation exploits the
 identical part at two fidelity levels:
 
-* **Exact** (always on) — one representative instance's *schedule
-  metadata* (validation, route edges, send cap, receive copy duration,
-  route latency) is computed once per task and shared across its
-  siblings (``ExecutionPlan.validate`` and ``Simulator._send_meta`` /
-  ``_recv_duration``).  Timing is untouched, so reports are
-  bit-identical to per-instance bookkeeping; the golden digests and the
-  per-instance simulator in ``tests/oracles/rates.py`` pin this.
+* **Exact** (always on) — ``ExecutionPlan.validate`` checks one
+  representative run at a time instead of every instance.  Timing is
+  untouched: the simulator's step table still gives each instance its
+  own TB's send cap and copy time (``Simulator._lower``), and the golden
+  digests and ``FromScratchStepSimulator`` in ``tests/oracles/rates.py``
+  pin the reports.
 
 * **Fast** (``SimConfig.collapse_microbatches``, part of the ``fast``
   fidelity preset) — :func:`collapse_microbatch_runs` rewrites the plan

@@ -333,11 +333,16 @@ class FlowNetwork:
         donated caps summed left to right.
         """
         self.shares_computed += 1
-        capacity = self.effective_capacity(edge)
+        # effective_capacity(), inlined: the same float operations.
+        capacity = self._capacity[edge]
+        if self._factor:
+            capacity *= self._factor.get(edge, 1.0)
         members = self._edge_flows.get(edge)
         if members is None:
             return capacity
         k = len(members)
+        if k > 1:
+            capacity = capacity / (1.0 + self._gamma * (k - 1))
         equal = capacity / k
         flows = self._flows
         donated = 0.0
@@ -385,7 +390,12 @@ class FlowNetwork:
         rel = self._rate_rel_epsilon
         changed: List[Flow] = []
         for flow in affected:
-            new_rate = min(flow.cap, min(shares[e] for e in flow.edges))
+            # min(cap, min over the edges' shares), as a plain loop.
+            new_rate = flow.cap
+            for edge in flow.edges:
+                share = shares[edge]
+                if share < new_rate:
+                    new_rate = share
             threshold = ABS_RATE_EPS
             if rel > 0.0:
                 threshold = max(threshold, rel * abs(flow.rate))

@@ -192,9 +192,6 @@ class SimCounters:
     #: Always 0: the event queue is a single binary heap that never
     #: refills.  Kept because the performance ledger reads it.
     queue_refills: int = 0
-    #: Tasks whose schedule metadata one representative instance computed
-    #: for all its micro-batch siblings (exact aggregation).
-    agg_tasks_cached: int = 0
     #: Micro-batch runs temporally collapsed (fast fidelity only).
     agg_runs_collapsed: int = 0
     #: Sibling instances reconstructed by report fan-out after collapse.
@@ -216,7 +213,6 @@ class SimCounters:
         "vectorized_passes",
         "scalar_passes",
         "queue_refills",
-        "agg_tasks_cached",
         "agg_runs_collapsed",
         "agg_instances_expanded",
         "agg_collapse_disabled",
@@ -236,8 +232,6 @@ class SimCounters:
             f"{self.flows_admitted} flow(s) admitted, "
             f"{self.credit_stalls} credit stall(s)"
         )
-        if self.agg_tasks_cached:
-            text += f"; aggregation: {self.agg_tasks_cached} task(s) cached"
         if self.agg_runs_collapsed:
             text += (
                 f"; collapse: {self.agg_runs_collapsed} run(s) -> "

@@ -16,15 +16,15 @@ This module holds what it is checked against:
   :func:`water_filled_share`;
 * :class:`BruteForceFlowNetwork` — also recomputes every occupied edge
   and re-rates every live flow on every pass (no share cache);
-* :class:`PerInstanceSimulator` (and the two functions it installs) —
-  recomputes each micro-batch instance's schedule metadata instead of
-  sharing the representative's;
+* :class:`FromScratchStepSimulator` — recomputes every step's route,
+  send cap, route latency and copy time from the cluster and the
+  step's own TB instead of reading the production step table;
 * :class:`PerAdmissionSimulator` — settles every admission in a solver
   pass of its own instead of one pass per event instant: the same
   physics in more passes, the pinned reference of
   ``benchmarks/test_perf_scaling.py``.
 
-Each network and :class:`PerInstanceSimulator` reproduces the golden
+Each network and :class:`FromScratchStepSimulator` reproduces the golden
 digests (``tests/test_golden_oracles.py``).
 """
 
@@ -32,7 +32,9 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.ir.task import CommType
 from repro.runtime.flows import ABS_RATE_EPS, Flow, FlowNetwork
+from repro.runtime.plan import Side
 from repro.runtime.simulator import Simulator
 
 
@@ -110,29 +112,63 @@ class RateOracleNetwork(FlowNetwork):
         self.passes_checked += 1
 
 
-_shared_send_meta = Simulator._send_meta
-_shared_recv_duration = Simulator._recv_duration
+_production_lower = Simulator._lower
 
 
-def send_meta_per_instance(self, tb, task_id, task):
-    """``Simulator._send_meta`` without sharing across siblings."""
-    meta = _shared_send_meta(self, tb, task_id, task)
-    del self._task_send_meta[task_id]
-    return meta
+class _Recomputed:
+    """A per-task table that recomputes its entry on every read."""
+
+    def __init__(self, compute) -> None:
+        self._compute = compute
+
+    def __getitem__(self, task_id: int):
+        return self._compute(task_id)
 
 
-def recv_duration_per_instance(self, tb, task_id):
-    """``Simulator._recv_duration`` without sharing across siblings."""
-    duration = _shared_recv_duration(self, tb, task_id)
-    del self._task_recv_duration[task_id]
-    return duration
+class FromScratchStepSimulator(Simulator):
+    """Lowers every step from scratch, reusing nothing across tasks or TBs.
 
+    Each step's send cap or copy time is recomputed from the cluster
+    profile and the step's own TB, and every read of a task's route or
+    protocol-adjusted route latency recomputes it with
+    ``cluster.path`` — the production step table derives each once.
+    """
 
-class PerInstanceSimulator(Simulator):
-    """Recomputes route, send cap and copy time for every instance."""
+    def _lower(self) -> None:
+        # Called explicitly, not via super(), so the golden-oracle suite
+        # can install this method on Simulator itself.
+        _production_lower(self)
+        cluster = self.cluster
+        profile = cluster.profile
+        protocol = self.config.protocol
+        chunk_bytes = self.plan.chunk_bytes
 
-    _send_meta = send_meta_per_instance
-    _recv_duration = recv_duration_per_instance
+        def path(task_id):
+            task = self.dag.task(task_id)
+            return cluster.path(task.src, task.dst)
+
+        self._task_edges = _Recomputed(lambda t: path(t).edges)
+        self._task_alpha = _Recomputed(
+            lambda t: path(t).latency_us * protocol.latency_factor
+        )
+        n_mb = self.plan.n_microbatches
+        for tb in self.tbs:
+            steps = []
+            for inv, lowered in zip(tb.program.invocations, tb.steps):
+                is_send = inv.side is Side.SEND
+                copy_bw = profile.tb_copy_bandwidth(tb.program.nwarps)
+                if is_send:
+                    value = copy_bw * protocol.bandwidth_efficiency
+                else:
+                    value = chunk_bytes / copy_bw
+                    if self.dag.task(inv.task_id).op is CommType.RRC:
+                        value += chunk_bytes * profile.reduce_cost_per_byte_us
+                # The credit slot is a state index, not physics.
+                steps.append((
+                    is_send, inv.task_id, inv.mb,
+                    inv.task_id * n_mb + inv.mb, lowered[4], value,
+                ))
+            tb.steps = steps
 
 
 class PerAdmissionSimulator(Simulator):

@@ -3,7 +3,7 @@
 Every simulation pinned by ``data/sim_golden.json`` is run again with
 the rate oracle armed (each live flow at its from-scratch water-filled
 share after every solver pass), with the from-scratch-share and brute-force
-flow networks, and with per-instance schedule bookkeeping.  Each must
+flow networks, and with every step lowered from scratch.  Each must
 reproduce the golden digest.  One more replay checks that the flow
 network is only ever called at the simulator's current time.
 """
@@ -62,10 +62,9 @@ def test_reference_solvers_match_golden(name, network_class, solver):
 
 
 @pytest.mark.parametrize("name", sorted(SIM_RUNS))
-def test_per_instance_bookkeeping_matches_golden(name, monkeypatch):
-    monkeypatch.setattr(Simulator, "_send_meta", rates.send_meta_per_instance)
+def test_from_scratch_step_table_matches_golden(name, monkeypatch):
     monkeypatch.setattr(
-        Simulator, "_recv_duration", rates.recv_duration_per_instance
+        Simulator, "_lower", rates.FromScratchStepSimulator._lower
     )
     assert sim_digest(name) == SIM_DIGESTS[name]
 
@@ -97,7 +96,7 @@ def test_incremental_solver_computes_fewer_shares():
     """The share cache saves work against the brute-force allocator."""
     plan = plan_for("mesh-allreduce", 2, 8, 8)
 
-    class BruteForceSimulator(rates.PerInstanceSimulator):
+    class BruteForceSimulator(rates.FromScratchStepSimulator):
         network_class = rates.BruteForceFlowNetwork
 
     fast = Simulator(plan).run()

@@ -14,6 +14,7 @@ from repro.runtime.plan import (
 )
 from repro.runtime.simulator import Simulator
 from repro.topology import single_node, v100_profile
+from tests.oracles.rates import FromScratchStepSimulator
 
 
 class TestSimConfigKnobs:
@@ -128,3 +129,44 @@ class TestSimulatorRobustness:
             plan, background_traffic=[(("nv:out:0",), 1000.0)]
         )
         assert report.completion_time_us > 0  # run still terminates
+
+
+class TestMixedWarpSiblings:
+    """Micro-batch siblings of one task placed on TBs of different warp
+    counts are each timed by their own TB."""
+
+    def _plan(self):
+        cluster = single_node(2)
+        program = ring_allgather(2)
+        dag = build_dag(program.transfers, cluster)
+        t01 = next(t for t in dag.tasks if t.src == 0)
+        t10 = next(t for t in dag.tasks if t.src == 1)
+        tbs = [
+            TBProgram(0, 0, [Invocation(t01.task_id, Side.SEND, 0)], 16),
+            TBProgram(0, 1, [Invocation(t01.task_id, Side.SEND, 1)], 1),
+            TBProgram(1, 0, [Invocation(t01.task_id, Side.RECV, mb) for mb in range(2)], 16),
+            TBProgram(1, 1, [Invocation(t10.task_id, Side.SEND, mb) for mb in range(2)], 16),
+            TBProgram(0, 2, [Invocation(t10.task_id, Side.RECV, mb) for mb in range(2)], 16),
+        ]
+        return ExecutionPlan(
+            name="mixed-warp",
+            cluster=cluster,
+            program=program,
+            dag=dag,
+            n_microbatches=2,
+            chunk_bytes=MB,
+            tb_programs=tbs,
+        )
+
+    def test_one_warp_sender_streams_at_its_own_cap(self):
+        plan = self._plan()
+        report = simulate(plan)
+        one_warp = next(
+            s for s in report.tb_stats if s.rank == 0 and s.tb_index == 1
+        )
+        floor = plan.chunk_bytes / plan.cluster.profile.tb_copy_bandwidth(1)
+        assert one_warp.nwarps == 1
+        assert one_warp.busy >= floor
+        assert report.completion_time_us >= floor
+        reference = FromScratchStepSimulator(plan).run()
+        assert reference.completion_time_us == report.completion_time_us
