@@ -20,7 +20,6 @@ to a textual ResCCLang file.  The cluster defaults to the paper's
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -29,14 +28,13 @@ from typing import List, Optional
 
 import inspect
 
-from .algorithms import available_algorithms, build_algorithm
+from .algorithms import available_algorithms
 from .analysis import format_table
 from .baselines import MSCCLBackend, NCCLBackend
 from .core import ResCCLBackend, ResCCLCompiler, allocate_tbs, lower_to_programs
 from .core import plancache, render_kernel_source
 from .experiments import available_experiments, run_experiment
 from .faults import INJECT_SCENARIOS, POLICY_NAMES, run_with_faults
-from .ir.task import parse_collective
 from .lang import AlgoProgram, parse_program, validate_program
 from .analysis import (
     ascii_gantt,
@@ -47,37 +45,69 @@ from .analysis import (
     write_chrome_trace,
 )
 from .obs import observe
-from .runtime import MB, SimulationDeadlock, simulate, verify_collective
-from .synth import (
-    TACCLSynthesizer,
-    TECCLSynthesizer,
-    read_msccl_xml,
-    write_msccl_xml,
+from .request import (
+    FIELDS,
+    SPEC_FORM,
+    SYNTHESIZERS,
+    RequestError,
+    build_cluster,
+    resolve_spec,
+    split_spec,
 )
-from .topology import Cluster, profile_by_name
+from .runtime import MB, SimulationDeadlock, simulate, verify_collective
+from .synth import read_msccl_xml, write_msccl_xml
+from .topology import Cluster
+
+#: Plan-request fields every cluster-building subcommand takes.
+_CLUSTER_FIELDS = ("nodes", "gpus", "profile")
+
+#: ``run`` and ``compare`` default to one large, training-sized call.
+_LARGE_CALL = {"buffer_mb": 256.0, "mbs": 16}
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts and sizes: an integer of at least 1."""
-    value = int(text)  # argparse reports a ValueError as an invalid value
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _flag_type(field):
+    """argparse type running the field's own check (the service's reason)."""
+
+    def parse(text: str):
+        try:
+            return field.from_text(text)
+        except RequestError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+def _add_fields(parser: argparse.ArgumentParser, *names: str, **defaults) -> None:
+    """Register plan-request fields as flags, with per-subcommand defaults."""
+    for name in names:
+        field = FIELDS[name]
+        default = defaults.get(name, field.default)
+        shown = f"{default:g}" if isinstance(default, float) else default
+        parser.add_argument(
+            "--" + name.replace("_", "-"),
+            type=_flag_type(field),
+            default=default,
+            metavar="{" + ",".join(field.choices) + "}" if field.choices else None,
+            help=f"{field.help} ({field.bound}; default: {shown})",
+        )
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an invalid value
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _check_rank(rank: int, cluster: Cluster) -> None:
     """Exit 2 on a rank the cluster does not have."""
     if not 0 <= rank < cluster.world_size:
-        print(f"error: rank {rank} is outside [0, {cluster.world_size})", file=sys.stderr)
-        raise SystemExit(2)
-
-
-def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--nodes", type=_positive_int, default=2, help="server count")
-    parser.add_argument("--gpus", type=_positive_int, default=8, help="GPUs per server")
-    parser.add_argument(
-        "--profile", default="A100", help="GPU profile (A100 or V100)"
-    )
+        raise RequestError(f"rank {rank} is outside [0, {cluster.world_size})")
 
 
 def _add_fault_args(parser: argparse.ArgumentParser) -> None:
@@ -96,7 +126,7 @@ def _add_fault_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--failover-factor", type=float, default=0.25,
         help="capacity retained by dead edges in a fallback/resume "
-        "cluster; 0 means no failover path, so a partitioned topology "
+        "cluster, in [0, 1]; 0 means no failover path, so a partitioned topology "
         "makes recovery impossible (exit code 2)",
     )
 
@@ -126,7 +156,9 @@ def _add_tuning_arg(parser: argparse.ArgumentParser) -> None:
         "--tuning-table", default=None, metavar="PATH",
         help="serve tuned plans from this 'resccl tune' table; cells it "
         "covers replace the requested plan source and knobs with the "
-        "tuned winners (docs/performance.md#autotuning)",
+        "tuned winners (docs/performance.md#autotuning). 'serve' prewarms "
+        "its cells before /readyz and fails startup (exit 2) on a table "
+        "whose topology fingerprints do not match this build",
     )
 
 
@@ -143,14 +175,10 @@ def _configure_tuning(args: argparse.Namespace) -> None:
 
 
 def _cluster_from(args: argparse.Namespace) -> Cluster:
-    return Cluster(
-        nodes=args.nodes,
-        gpus_per_node=args.gpus,
-        profile=profile_by_name(args.profile),
-    )
+    return build_cluster(args.nodes, args.gpus, args.profile)
 
 
-_DEFAULT_SHAPE = (2, 8)  # the paper's testbed; see _add_cluster_args
+_DEFAULT_SHAPE = (FIELDS["nodes"].default, FIELDS["gpus"].default)
 
 
 def _fit_cluster(
@@ -169,33 +197,23 @@ def _fit_cluster(
     gpus_per_node = min(program.header.gpus_per_node, program.nranks)
     if gpus_per_node < 1 or program.nranks % gpus_per_node != 0:
         gpus_per_node = program.nranks
-    return Cluster(
-        nodes=program.nranks // gpus_per_node,
-        gpus_per_node=gpus_per_node,
-        profile=profile_by_name(args.profile),
+    return build_cluster(
+        program.nranks // gpus_per_node, gpus_per_node, args.profile
     )
 
 
 def _resolve_algorithm(spec: str, cluster: Cluster) -> AlgoProgram:
     """Name, synthesizer spec, or DSL file path -> elaborated program."""
-    if spec in available_algorithms():
-        return build_algorithm(spec, cluster)
-    if ":" in spec:
-        synth_name, _, coll_name = spec.partition(":")
-        synthesizers = {"taccl": TACCLSynthesizer, "teccl": TECCLSynthesizer}
-        if synth_name.lower() in synthesizers:
-            collective = parse_collective(coll_name)
-            return synthesizers[synth_name.lower()]().synthesize(
-                cluster, collective
-            )
     path = Path(spec)
-    if path.exists():
+    if spec not in available_algorithms() and path.exists():
         if path.suffix == ".xml":
             return read_msccl_xml(str(path))
         return parse_program(path.read_text())
+    if spec in available_algorithms() or split_spec(spec) is not None:
+        return resolve_spec(spec, cluster)
     raise SystemExit(
         f"error: {spec!r} is not a built-in algorithm, a synthesizer spec "
-        f"(taccl:/teccl:<collective>), or a readable file.\n"
+        f"({SPEC_FORM}), or a readable file.\n"
         f"Built-ins: {', '.join(available_algorithms())}"
     )
 
@@ -211,12 +229,11 @@ def _make_backend(name: str, max_microbatches: int):
     raise SystemExit(f"error: unknown backend {name!r} (resccl/msccl/nccl)")
 
 
-def _simulate(backend, cluster, program, buffer_bytes):
+def _plan(backend, cluster, program, nbytes):
+    """One call's plan; NCCL plans from the collective alone."""
     if isinstance(backend, NCCLBackend):
-        plan = backend.plan(cluster, program.collective, buffer_bytes)
-    else:
-        plan = backend.plan(cluster, program, buffer_bytes)
-    return simulate(plan)
+        return backend.plan(cluster, program.collective, nbytes)
+    return backend.plan(cluster, program, nbytes)
 
 
 # ----------------------------------------------------------------------
@@ -228,8 +245,8 @@ def cmd_algos(args: argparse.Namespace) -> int:
     del args
     for name in available_algorithms():
         print(name)
-    print("taccl:<collective>  (synthesized)")
-    print("teccl:<collective>  (synthesized)")
+    for name in SYNTHESIZERS:
+        print(f"{name}:<collective>  (synthesized)")
     return 0
 
 
@@ -288,22 +305,20 @@ def cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_fidelity_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--sim-fidelity", default="exact", choices=["exact", "fast"],
-        help="simulation fidelity preset (see docs/performance.md): "
-        "'exact' is bit-reproducible across every solver/queue "
-        "configuration; 'fast' trades a bounded completion-time error "
-        "(rate hysteresis + micro-batch collapse) for wall-clock speed",
-    )
-
-
-def _apply_fidelity(plan, args: argparse.Namespace):
-    """The plan with ``--sim-fidelity`` applied to its sim config."""
-    preset = getattr(args, "sim_fidelity", "exact")
-    if preset == "exact":
-        return plan
-    return dataclasses.replace(plan, config=plan.config.with_fidelity(preset))
+def _run_faults(plan, args: argparse.Namespace):
+    """``run_with_faults`` under the fault flags; a refused value exits."""
+    try:
+        return run_with_faults(
+            plan,
+            args.inject,
+            seed=args.seed,
+            intensity=getattr(args, "fault_intensity", 1.0),  # run only
+            recovery=args.recovery,
+            record_trace=True,
+            fallback_capacity_factor=args.failover_factor,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 def _print_deadlock(exc: SimulationDeadlock) -> None:
@@ -318,25 +333,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     program = _resolve_algorithm(args.algorithm, cluster)
     cluster = _fit_cluster(args, cluster, program)
     backend = _make_backend(args.backend, args.mbs)
-    if isinstance(backend, NCCLBackend):
-        plan = backend.plan(cluster, program.collective, args.buffer_mb * MB)
-    else:
-        plan = backend.plan(cluster, program, args.buffer_mb * MB)
-    plan = _apply_fidelity(plan, args)
+    plan = _plan(backend, cluster, program, args.buffer_mb * MB)
+    plan = plan.with_fidelity(args.sim_fidelity)
     try:
         if args.inject:
-            try:
-                outcome = run_with_faults(
-                    plan,
-                    args.inject,
-                    seed=args.seed,
-                    intensity=args.fault_intensity,
-                    recovery=args.recovery,
-                    record_trace=True,
-                    fallback_capacity_factor=args.failover_factor,
-                )
-            except ValueError as exc:
-                raise SystemExit(f"error: {exc}") from None
+            outcome = _run_faults(plan, args)
             report = outcome.report
             print(report.summary())
             stats = report.fault_stats
@@ -412,21 +413,8 @@ def _parse_ranks(args: argparse.Namespace, cluster: Cluster) -> Optional[List[in
 
 def _traced_report(plan, args: argparse.Namespace):
     """Simulate with tracing on, under fault injection when requested."""
-    if getattr(args, "inject", None):
-        try:
-            outcome = run_with_faults(
-                plan,
-                args.inject,
-                seed=args.seed,
-                recovery=args.recovery,
-                record_trace=True,
-                fallback_capacity_factor=getattr(
-                    args, "failover_factor", 0.25
-                ),
-            )
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}") from None
-        return outcome.report
+    if args.inject:
+        return _run_faults(plan, args).report
     return simulate(plan, record_trace=True)
 
 
@@ -435,11 +423,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     ranks = _parse_ranks(args, cluster)
     program = _resolve_algorithm(args.algorithm, cluster)
     backend = _make_backend(args.backend, args.mbs)
-    if isinstance(backend, NCCLBackend):
-        plan = backend.plan(cluster, program.collective, args.buffer_mb * MB)
-    else:
-        plan = backend.plan(cluster, program, args.buffer_mb * MB)
-    plan = _apply_fidelity(plan, args)
+    plan = _plan(backend, cluster, program, args.buffer_mb * MB)
+    plan = plan.with_fidelity(args.sim_fidelity)
     try:
         report = _traced_report(plan, args)
     except SimulationDeadlock as exc:
@@ -490,13 +475,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     ranks = _parse_ranks(args, cluster)
     try:
         with observe() as obs:
-            if isinstance(backend, NCCLBackend):
-                plan = backend.plan(
-                    cluster, program.collective, args.buffer_mb * MB
-                )
-            else:
-                plan = backend.plan(cluster, program, args.buffer_mb * MB)
-            plan = _apply_fidelity(plan, args)
+            plan = _plan(backend, cluster, program, args.buffer_mb * MB)
+            plan = plan.with_fidelity(args.sim_fidelity)
             report = _traced_report(plan, args)
     except SimulationDeadlock as exc:
         _print_deadlock(exc)
@@ -579,7 +559,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for name in ("NCCL", "MSCCL", "ResCCL"):
         backend = _make_backend(name, args.mbs)
         try:
-            report = _simulate(backend, cluster, program, args.buffer_mb * MB)
+            report = simulate(_plan(backend, cluster, program, args.buffer_mb * MB))
         except SimulationDeadlock as exc:
             print(f"backend {name}:", file=sys.stderr)
             _print_deadlock(exc)
@@ -596,7 +576,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 f"{report.avg_idle_fraction():.1%}",
             ]
         )
-    print(f"{program.name} on {cluster}, {args.buffer_mb} MB:\n")
+    print(f"{program.name} on {cluster}, {args.buffer_mb:g} MB:\n")
     print(
         format_table(
             ["backend", "algbw GB/s", "time ms", "vs NCCL", "TBs/rank",
@@ -634,13 +614,10 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
     _configure_cache(args)
     collectives = [c.strip() for c in args.collectives.split(",") if c.strip()]
-    try:
-        sizes = [float(s) for s in args.sizes_mb.split(",") if s.strip()]
-    except ValueError:
-        raise SystemExit(
-            f"error: --sizes-mb wants comma-separated numbers, "
-            f"got {args.sizes_mb!r}"
-        ) from None
+    try:  # each size is a buffer_mb
+        sizes = [FIELDS["buffer_mb"].from_text(s) for s in args.sizes_mb.split(",") if s.strip()]
+    except RequestError as exc:
+        raise RequestError(f"--sizes-mb: {exc}") from None
     if not collectives or not sizes:
         raise SystemExit("error: need at least one collective and one size")
     schedulers = tuple(
@@ -747,55 +724,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="validate + verify a program")
     p_verify.add_argument("algorithm")
-    _add_cluster_args(p_verify)
+    _add_fields(p_verify, *_CLUSTER_FIELDS)
 
     p_compile = sub.add_parser("compile", help="compile and inspect")
     p_compile.add_argument("algorithm")
-    p_compile.add_argument("--scheduler", default="hpds", choices=["hpds", "rr"])
     p_compile.add_argument("--kernel", action="store_true",
                            help="print the generated kernel listing")
     p_compile.add_argument("--rank", type=int, default=0)
-    p_compile.add_argument("--mbs", type=_positive_int, default=8,
-                           help="micro-batches of the lowered plan "
-                           "(as 'run --mbs' with a large enough buffer)")
-    _add_cluster_args(p_compile)
+    _add_fields(p_compile, "scheduler", "mbs", *_CLUSTER_FIELDS)
 
     p_run = sub.add_parser("run", help="simulate one collective call")
     p_run.add_argument("algorithm")
     p_run.add_argument("--backend", default="resccl")
-    p_run.add_argument("--buffer-mb", type=_positive_int, default=256)
-    p_run.add_argument("--mbs", type=_positive_int, default=16,
-                       help="micro-batch cap")
-    p_run.add_argument(
-        "--inject", default=None, metavar="SPEC",
-        help="fault scenario to inject "
-        f"({'/'.join(INJECT_SCENARIOS)}[:key=value,...])",
-    )
-    p_run.add_argument("--seed", type=int, default=0,
-                       help="fault-schedule RNG seed")
+    _add_fields(p_run, "buffer_mb", "mbs", "sim_fidelity", *_CLUSTER_FIELDS,
+                **_LARGE_CALL)
+    _add_fault_args(p_run)
     p_run.add_argument("--fault-intensity", type=float, default=1.0,
                        help="fraction of the fault schedule to apply [0,1]")
-    p_run.add_argument(
-        "--recovery", default="fallback", choices=list(POLICY_NAMES),
-        help="recovery policy when faults are injected",
-    )
-    p_run.add_argument(
-        "--failover-factor", type=float, default=0.25,
-        help="capacity retained by dead edges in a fallback/resume "
-        "cluster; 0 means no failover path, so a partitioned topology "
-        "makes recovery impossible (exit code 2)",
-    )
-    _add_fidelity_arg(p_run)
     _add_cache_args(p_run)
     _add_tuning_arg(p_run)
-    _add_cluster_args(p_run)
 
     p_cmp = sub.add_parser("compare", help="all three backends side by side")
     p_cmp.add_argument("algorithm")
-    p_cmp.add_argument("--buffer-mb", type=_positive_int, default=256)
-    p_cmp.add_argument("--mbs", type=_positive_int, default=16)
+    _add_fields(p_cmp, "buffer_mb", "mbs", *_CLUSTER_FIELDS, **_LARGE_CALL)
     _add_cache_args(p_cmp)
-    _add_cluster_args(p_cmp)
 
     p_export = sub.add_parser(
         "export",
@@ -804,25 +756,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("algorithm")
     p_export.add_argument("output",
                           help=".rescclang or .xml destination path")
-    _add_cluster_args(p_export)
+    _add_fields(p_export, *_CLUSTER_FIELDS)
 
     p_trace = sub.add_parser(
         "trace", help="execution timeline (ASCII Gantt / Chrome trace)"
     )
     p_trace.add_argument("algorithm")
     p_trace.add_argument("--backend", default="resccl")
-    p_trace.add_argument("--buffer-mb", type=_positive_int, default=64)
-    p_trace.add_argument("--mbs", type=_positive_int, default=8)
+    _add_fields(p_trace, "buffer_mb", "mbs", "sim_fidelity", *_CLUSTER_FIELDS)
     p_trace.add_argument("--rank", type=int, default=0,
                          help="rank whose TBs to chart (-1 for all)")
     p_trace.add_argument("--ranks", default=None, metavar="R1,R2,...",
                          help="comma-separated rank filter "
                          "(overrides --rank)")
-    p_trace.add_argument("--width", type=int, default=100)
+    p_trace.add_argument("--width", type=_int_at_least(1), default=100,
+                         help="ASCII chart width in columns")
     p_trace.add_argument("--output", help="write Chrome trace JSON here")
-    _add_fidelity_arg(p_trace)
     _add_fault_args(p_trace)
-    _add_cluster_args(p_trace)
 
     p_prof = sub.add_parser(
         "profile",
@@ -830,8 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_prof.add_argument("algorithm")
     p_prof.add_argument("--backend", default="resccl")
-    p_prof.add_argument("--buffer-mb", type=_positive_int, default=64)
-    p_prof.add_argument("--mbs", type=_positive_int, default=8)
+    _add_fields(p_prof, "buffer_mb", "mbs", "sim_fidelity", *_CLUSTER_FIELDS)
     p_prof.add_argument("--ranks", default=None, metavar="R1,R2,...",
                         help="rank filter for the exported trace lanes")
     p_prof.add_argument("--output",
@@ -839,14 +788,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--metrics-out",
                         help="write metrics here (.prom for Prometheus "
                         "text format, anything else for JSON)")
-    p_prof.add_argument("--metrics-limit", type=int, default=12,
+    p_prof.add_argument("--metrics-limit", type=_int_at_least(0), default=12,
                         help="metric series and links shown inline "
                         "(0 = all)")
-    _add_fidelity_arg(p_prof)
     _add_fault_args(p_prof)
     _add_cache_args(p_prof)
     _add_tuning_arg(p_prof)
-    _add_cluster_args(p_prof)
 
     p_serve = sub.add_parser(
         "serve",
@@ -891,11 +838,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="hot plan-cache keys persisted on drain and "
                          "compiled before /readyz flips green on the next "
                          "boot (0 disables prewarm)")
-    p_serve.add_argument("--tuning-table", default=None, metavar="PATH",
-                         help="serve tuned plans from this 'resccl tune' "
-                         "table; its cells are prewarmed before /readyz "
-                         "and a table whose topology fingerprints do not "
-                         "match this build fails startup (exit 2)")
+    _add_tuning_arg(p_serve)
 
     p_tune = sub.add_parser(
         "tune",
@@ -939,7 +882,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-tune cells already present in the table",
     )
     _add_cache_args(p_tune)
-    _add_cluster_args(p_tune)
+    _add_fields(p_tune, *_CLUSTER_FIELDS)
 
     p_treq = sub.add_parser(
         "trace-request",
@@ -1001,7 +944,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except RequestError as exc:  # e.g. a bad spec, rank or cluster size
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 if __name__ == "__main__":

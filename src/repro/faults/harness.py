@@ -92,19 +92,28 @@ def run_with_faults(
             or ``None``/empty for a control run with the injector armed
             on an empty schedule.
         seed: single RNG seed for schedule generation (determinism).
-        intensity: scales the generated event count (cumulative prefix).
+        intensity: scales the generated event count (cumulative prefix);
+            in [0, 1].
         recovery: policy name (``none``/``retry``/``fallback``/
             ``replan``) or a policy instance.
         record_trace: record fault/recovery :class:`TraceEvent`\\ s.
         background_traffic: forwarded to both runs.
         fallback_capacity_factor: derating applied to dead edges when the
-            run falls back to a ring plan (0 models "no failover path":
-            a partition then raises ``RecoveryImpossible``).
+            run falls back to a ring plan, in [0, 1] (0 models "no
+            failover path": a partition then raises ``RecoveryImpossible``).
         verify: prove the collective postcondition of every surviving
             run — including stitched checkpoint + resume executions —
             with the semantic delivery verifier.
         max_replans: re-replanning budget before escalating to ring.
+
+    A value outside [0, 1] raises ``ValueError``.
     """
+    for name, value in (
+        ("intensity", intensity),
+        ("fallback_capacity_factor", fallback_capacity_factor),
+    ):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {value!r}")
     baseline = Simulator(
         plan,
         background_traffic=background_traffic,

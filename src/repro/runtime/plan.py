@@ -216,6 +216,13 @@ class ExecutionPlan:
         if self.chunks_per_microbatch <= 0:
             self.chunks_per_microbatch = self.program.nchunks
 
+    def with_fidelity(self, preset: str) -> "ExecutionPlan":
+        """This plan under a :meth:`SimConfig.with_fidelity` preset;
+        ``exact`` keeps the plan as planned."""
+        if preset == "exact":
+            return self
+        return replace(self, config=self.config.with_fidelity(preset))
+
     @property
     def total_bytes(self) -> float:
         """Per-rank buffer size this plan synchronizes."""

@@ -80,7 +80,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import os
 import threading
 import time
@@ -91,7 +90,8 @@ from typing import Dict, List, Optional, Tuple
 from ..obs.context import TraceContext, context_from_headers, new_trace_id
 from ..obs.log import get_logger, log_ring
 from ..obs.metrics import MetricsRegistry
-from ..topology import Cluster, profile_by_name
+from ..request import FIELDS, build_cluster
+from ..topology import Cluster
 from ..tuning.table import TuningTable, TuningTableError
 from .breaker import CircuitBreaker
 from .journal import (
@@ -870,7 +870,11 @@ class ServiceDaemon:
         request_id = None  # the client's id once parsed; trace_id stands in
         journal_ref = {"id": None}  # set once the request is journaled
 
-        def finish(status, payload, extra=None):
+        def finish(status, payload, extra=None, trace_error=None):
+            # Error replies mark the trace with their error text, or with
+            # ``trace_error`` where the trace names the cause differently.
+            if trace is not None and status >= 400:
+                trace.mark_error(trace_error or payload["error"])
             if self.journal is not None and journal_ref["id"] is not None:
                 # Completion marks ride the executor: an fsync per reply
                 # must not stall the event loop.  A mark lost to a crash
@@ -931,8 +935,6 @@ class ServiceDaemon:
             # fast with a hint, exactly like /readyz — the client pool
             # fails over to the next replica.
             state = self.lifecycle.state_name
-            if trace is not None:
-                trace.mark_error(f"not accepting requests: {state}")
             self.registry.inc(
                 "service_lifecycle_rejects_total", endpoint=op, state=state
             )
@@ -941,37 +943,28 @@ class ServiceDaemon:
                 {"error": f"not accepting requests: daemon is {state}",
                  "lifecycle": state},
                 {"Retry-After": "1"},
+                trace_error=f"not accepting requests: {state}",
             )
 
         try:
             payload = json.loads(body.decode("utf-8") or "{}")
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            if trace is not None:
-                trace.mark_error(f"bad JSON body: {exc}")
             return finish(400, {"error": f"bad JSON body: {exc}"})
         try:
             request = parse_request(op, payload)
         except RequestError as exc:
-            if trace is not None:
-                trace.mark_error(str(exc))
             return finish(400, {"error": str(exc)})
         request_id = request.request_id
 
         deadline_ms = request.deadline_ms
         if deadline_ms is None and headers.get("x-deadline-ms"):
-            try:
-                deadline_ms = float(headers["x-deadline-ms"])
-            except ValueError:
-                if trace is not None:
-                    trace.mark_error("bad X-Deadline-Ms header")
-                return finish(400, {"error": "bad X-Deadline-Ms header"})
-            # float() accepts "nan"/"inf"; NaN passes every deadline
-            # comparison and would run the job with no deadline at all.
-            if not math.isfinite(deadline_ms):
-                if trace is not None:
-                    trace.mark_error("bad X-Deadline-Ms header")
-                return finish(400, {"error": "bad X-Deadline-Ms header"})
-        if deadline_ms is None or deadline_ms <= 0:
+            try:  # the body field's bound: NaN would disable the deadline
+                deadline_ms = FIELDS["deadline_ms"].from_text(
+                    headers["x-deadline-ms"]
+                )
+            except RequestError as exc:
+                return finish(400, {"error": f"bad X-Deadline-Ms header: {exc}"})
+        if deadline_ms is None:
             deadline_ms = self.config.default_deadline_ms
         deadline_ms = min(deadline_ms, self.config.max_deadline_ms)
         deadline_wall = time.time() + deadline_ms / 1e3
@@ -1036,8 +1029,6 @@ class ServiceDaemon:
                     trace=wire,
                 )
             except PoolSaturated as exc:
-                if trace is not None:
-                    trace.mark_error("shed: request queue full")
                 self._log.warning(
                     "request-shed",
                     trace_id=trace_id,
@@ -1052,6 +1043,7 @@ class ServiceDaemon:
                         "retry_after_s": exc.retry_after_s,
                     },
                     {"Retry-After": str(max(1, round(exc.retry_after_s)))},
+                    trace_error="shed: request queue full",
                 )
             if trace is not None:
                 trace.mark_submitted()
@@ -1074,8 +1066,6 @@ class ServiceDaemon:
             # This waiter's budget ran out; the shared job (and any
             # longer-budget waiters) may still complete — the pool's own
             # deadline enforcement reaps it if nobody is left.
-            if trace is not None:
-                trace.mark_error(f"deadline ({deadline_ms:.0f} ms) expired")
             return finish(
                 504,
                 {
@@ -1084,24 +1074,16 @@ class ServiceDaemon:
                 },
             )
         except DeadlineExceeded as exc:
-            if trace is not None:
-                trace.mark_error(str(exc))
             return finish(
                 504, {"error": str(exc), "request_id": request.request_id}
             )
         except RequestError as exc:
-            if trace is not None:
-                trace.mark_error(str(exc))
             return finish(400, {"error": str(exc)})
         except WorkerCrashed as exc:
-            if trace is not None:
-                trace.mark_error(str(exc))
             return finish(
                 500, {"error": str(exc), "request_id": request.request_id}
             )
         except JobFailed as exc:
-            if trace is not None:
-                trace.mark_error("request failed in worker")
             return finish(
                 500,
                 {
@@ -1113,8 +1095,6 @@ class ServiceDaemon:
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # noqa: BLE001 - never drop a response
-            if trace is not None:
-                trace.mark_error(f"{type(exc).__name__}: {exc}")
             return finish(
                 500, {"error": f"{type(exc).__name__}: {exc}"}
             )
@@ -1177,11 +1157,7 @@ class ServiceDaemon:
         key = (request.nodes, request.gpus, request.profile.upper())
         cluster = self._clusters.get(key)
         if cluster is None:
-            cluster = Cluster(
-                nodes=request.nodes,
-                gpus_per_node=request.gpus,
-                profile=profile_by_name(request.profile),
-            )
+            cluster = build_cluster(request.nodes, request.gpus, request.profile)
             if len(self._clusters) >= 64:
                 self._clusters.pop(next(iter(self._clusters)))
             self._clusters[key] = cluster

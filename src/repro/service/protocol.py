@@ -33,31 +33,34 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import time
 from dataclasses import dataclass
 from typing import Optional
 
-from ..algorithms import available_algorithms, build_algorithm
 from ..algorithms.ring import ring_allgather, ring_allreduce, ring_reducescatter
 from ..core import ResCCLBackend
 from ..core.compiler import compile_fingerprint
 from ..core.plancache import get_cache
 from ..core.tballoc import allocate_tbs
-from ..ir.task import Collective, parse_collective
+from ..ir.task import Collective
 from ..lang import parse_program
+from ..request import (
+    FIELDS,
+    MAX_WORLD_SIZE,
+    SPEC_FORM,
+    RequestError,
+    build_cluster,
+    check_spec,
+    check_world_size,
+    resolve_spec,
+    split_spec,
+)
 from ..runtime import MB, simulate
-from ..topology import Cluster, profile_by_name
+from ..topology import Cluster
+from ..tuning.table import get_table, spec_collective
 
 #: Operations the service accepts (the ``/v1/<op>`` endpoints).
 OPS = ("compile", "simulate", "profile")
-
-#: Admission cap on ``nodes * gpus``.  Building a :class:`Cluster` (and
-#: its per-edge capacity table) is O(world size) and happens on the
-#: daemon's event loop for fingerprinting, so an unbounded world size
-#: would let a single request stall every connection — including
-#: ``/healthz`` — or OOM the daemon outright.
-MAX_WORLD_SIZE = 4096
 
 #: Collective -> cheap reference-ring builder for degraded mode.
 RING_FALLBACKS = {
@@ -67,10 +70,6 @@ RING_FALLBACKS = {
 }
 
 
-class RequestError(ValueError):
-    """A malformed or unserviceable request (maps to HTTP 400)."""
-
-
 @dataclass
 class ServiceRequest:
     """One validated compile/simulate/profile job."""
@@ -78,20 +77,18 @@ class ServiceRequest:
     op: str
     algorithm: Optional[str] = None  # registry name or taccl:/teccl: spec
     source: Optional[str] = None  # inline ResCCLang text
-    nodes: int = 2
-    gpus: int = 8
-    profile: str = "A100"
-    scheduler: str = "hpds"
-    buffer_mb: float = 64.0
-    mbs: int = 8
-    deadline_ms: Optional[float] = None
+    # Plan-request knobs: types, bounds and defaults in repro.request.FIELDS.
+    nodes: int = FIELDS["nodes"].default
+    gpus: int = FIELDS["gpus"].default
+    profile: str = FIELDS["profile"].default
+    scheduler: str = FIELDS["scheduler"].default
+    buffer_mb: float = FIELDS["buffer_mb"].default
+    mbs: int = FIELDS["mbs"].default
+    deadline_ms: Optional[float] = FIELDS["deadline_ms"].default
     request_id: Optional[str] = None
     degraded: bool = False
-    #: Simulation fidelity preset (``simulate``/``profile`` ops only):
-    #: ``exact`` (default) is bit-reproducible, ``fast`` trades a
-    #: bounded completion-time error for wall clock — the same contract
-    #: as the CLI's ``--sim-fidelity`` (docs/performance.md).
-    sim_fidelity: str = "exact"
+    #: ``simulate``/``profile`` ops only; the CLI's ``--sim-fidelity``.
+    sim_fidelity: str = FIELDS["sim_fidelity"].default
 
     def spec(self) -> str:
         """The algorithm identity string (name, synth spec, or source)."""
@@ -100,33 +97,6 @@ class ServiceRequest:
     def to_payload(self) -> dict:
         """JSON-safe dict form (what travels to the workers)."""
         return dataclasses.asdict(self)
-
-
-def _want(payload: dict, key: str, kind, default, *, positive: bool = False):
-    value = payload.get(key, default)
-    if value is None:
-        return None
-    # A JSON number, typed strictly: ``bool`` is an ``int`` subclass and
-    # ``int(2.9)`` truncates, so neither may slip through a conversion.
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or (kind is int and isinstance(value, float) and not value.is_integer())
-    ):
-        raise RequestError(f"field {key!r} must be {kind.__name__}")
-    try:
-        value = kind(value)
-    except OverflowError:
-        raise RequestError(f"field {key!r} must be finite") from None
-    if positive:
-        # NaN passes every <=/< comparison and Infinity survives the
-        # min() deadline clamp, so both would defeat the limits built
-        # on these fields; reject them outright.
-        if isinstance(value, float) and not math.isfinite(value):
-            raise RequestError(f"field {key!r} must be finite")
-        if value <= 0:
-            raise RequestError(f"field {key!r} must be positive")
-    return value
 
 
 def parse_request(op: str, payload: object) -> ServiceRequest:
@@ -139,8 +109,8 @@ def parse_request(op: str, payload: object) -> ServiceRequest:
     source = payload.get("source")
     if (algorithm is None) == (source is None):
         raise RequestError(
-            "give exactly one of 'algorithm' (built-in name or "
-            "taccl:/teccl:<collective> spec) or 'source' (ResCCLang text)"
+            f"give exactly one of 'algorithm' (built-in name or {SPEC_FORM} "
+            "spec) or 'source' (ResCCLang text)"
         )
     if algorithm is not None:
         if not isinstance(algorithm, str) or not algorithm:
@@ -149,62 +119,32 @@ def parse_request(op: str, payload: object) -> ServiceRequest:
             raise RequestError(
                 "file paths are not served; inline the program as 'source'"
             )
-        if ":" in algorithm:
-            synth, _, coll = algorithm.partition(":")
-            if synth.lower() not in ("taccl", "teccl"):
-                raise RequestError(f"unknown synthesizer {synth!r}")
-            try:
-                parse_collective(coll)
-            except ValueError as exc:
-                raise RequestError(str(exc)) from None
-        elif algorithm not in available_algorithms():
-            raise RequestError(
-                f"unknown algorithm {algorithm!r}; built-ins: "
-                f"{', '.join(available_algorithms())}"
-            )
+        check_spec(algorithm)
     if source is not None and (not isinstance(source, str) or not source.strip()):
         raise RequestError("field 'source' must be non-empty ResCCLang text")
-    scheduler = payload.get("scheduler", "hpds")
-    if scheduler not in ("hpds", "rr"):
-        raise RequestError("field 'scheduler' must be 'hpds' or 'rr'")
-    profile = payload.get("profile", "A100")
-    try:
-        profile_by_name(str(profile))
-    except (KeyError, ValueError) as exc:
-        raise RequestError(f"unknown GPU profile {profile!r}: {exc}") from None
     request_id = payload.get("request_id")
     if request_id is not None:
         request_id = str(request_id)
-    sim_fidelity = payload.get("sim_fidelity", "exact")
-    if sim_fidelity not in ("exact", "fast"):
-        raise RequestError(
-            "field 'sim_fidelity' must be 'exact' or 'fast'"
-        )
     degraded = payload.get("degraded", False)
     if not isinstance(degraded, bool):
         raise RequestError("field 'degraded' must be true or false")
-    nodes = _want(payload, "nodes", int, 2, positive=True)
-    gpus = _want(payload, "gpus", int, 8, positive=True)
-    if nodes * gpus > MAX_WORLD_SIZE:
-        raise RequestError(
-            f"cluster too large: nodes*gpus = {nodes * gpus} exceeds the "
-            f"service cap of {MAX_WORLD_SIZE} ranks"
-        )
-    return ServiceRequest(
+    knobs = {}
+    for name, field in FIELDS.items():
+        if name in payload:
+            try:
+                knobs[name] = field.check(payload[name])
+            except RequestError as exc:
+                raise RequestError(f"field {name!r}: {exc}") from None
+    request = ServiceRequest(
         op=op,
         algorithm=algorithm,
         source=source,
-        nodes=nodes,
-        gpus=gpus,
-        profile=str(profile),
-        scheduler=scheduler,
-        buffer_mb=_want(payload, "buffer_mb", float, 64.0, positive=True),
-        mbs=_want(payload, "mbs", int, 8, positive=True),
-        deadline_ms=_want(payload, "deadline_ms", float, None, positive=True),
         request_id=request_id,
         degraded=degraded,
-        sim_fidelity=sim_fidelity,
+        **knobs,
     )
+    check_world_size(request.nodes, request.gpus)
+    return request
 
 
 def request_from_payload(payload: dict) -> ServiceRequest:
@@ -269,8 +209,6 @@ def request_fingerprint(
         and not request.degraded
         and request.source is None
     ):
-        from ..tuning.table import spec_collective
-
         collective = spec_collective(request.algorithm or "")
         if collective is not None:
             tuned_key = tuning_table.lookup_key(
@@ -304,31 +242,17 @@ def _resolve_program(request: ServiceRequest, cluster: Cluster):
             return parse_program(request.source)
         except Exception as exc:  # parser errors are client errors
             raise RequestError(f"bad ResCCLang source: {exc}") from None
-    spec = request.algorithm or ""
-    if ":" in spec:
-        from ..synth import TACCLSynthesizer, TECCLSynthesizer
-
-        synth_name, _, coll_name = spec.partition(":")
-        synthesizers = {"taccl": TACCLSynthesizer, "teccl": TECCLSynthesizer}
-        collective = parse_collective(coll_name)
-        return synthesizers[synth_name.lower()]().synthesize(cluster, collective)
     try:
-        return build_algorithm(spec, cluster)
+        return resolve_spec(request.algorithm or "", cluster)
     except (KeyError, ValueError) as exc:
         raise RequestError(str(exc)) from None
 
 
-def _degraded_collective(request: ServiceRequest, cluster: Cluster) -> Collective:
-    """The collective a degraded request must still implement."""
-    spec = request.algorithm or ""
-    if ":" in spec:  # synthesizer specs name their collective directly,
-        return parse_collective(spec.partition(":")[2])  # skip the search
-    return _resolve_program(request, cluster).collective
-
-
 def degraded_program(request: ServiceRequest, cluster: Cluster):
     """The cheap reference ring the breaker serves instead of ``spec``."""
-    collective = _degraded_collective(request, cluster)
+    # A synthesizer spec names its collective: skip the search.
+    parts = split_spec(request.algorithm or "")
+    collective = parts[1] if parts else _resolve_program(request, cluster).collective
     builder = RING_FALLBACKS.get(collective)
     if builder is None:
         raise RequestError(
@@ -368,11 +292,7 @@ def execute(payload: dict) -> dict:
     a server-side failure the worker loop formats into an error reply.
     """
     request = request_from_payload(payload)
-    cluster = Cluster(
-        nodes=request.nodes,
-        gpus_per_node=request.gpus,
-        profile=profile_by_name(request.profile),
-    )
+    cluster = build_cluster(request.nodes, request.gpus, request.profile)
     if request.degraded:
         program = degraded_program(request, cluster)
     else:
@@ -389,30 +309,25 @@ def execute(payload: dict) -> dict:
         max_microbatches=request.mbs,
         use_tuning=not request.degraded,
     )
+    table = None if request.degraded else get_table()
     cache = get_cache()
     hits_before = cache.stats.hits
 
     wall_start = time.perf_counter()
     if request.op == "compile":
-        tuned = False
-        if not request.degraded:
-            from ..tuning.table import get_table
-
-            table = get_table()
-            if table is not None:
-                config = table.lookup(
-                    program.collective.value, request.buffer_mb * MB, cluster
+        config = None if table is None else table.lookup(
+            program.collective.value, request.buffer_mb * MB, cluster
+        )
+        tuned = config is not None
+        if tuned:
+            # Warm the plan the tuned cell actually serves.
+            program = table.resolve_program(config, cluster)
+            if config.scheduler != request.scheduler:
+                backend = ResCCLBackend(
+                    scheduler=config.scheduler,
+                    max_microbatches=request.mbs,
+                    use_tuning=False,
                 )
-                if config is not None:
-                    # Warm the plan the tuned cell actually serves.
-                    program = table.resolve_program(config, cluster)
-                    tuned = True
-                    if config.scheduler != request.scheduler:
-                        backend = ResCCLBackend(
-                            scheduler=config.scheduler,
-                            max_microbatches=request.mbs,
-                            use_tuning=False,
-                        )
         compiled = backend.compile(program, cluster)
 
         def fingerprint():
@@ -432,25 +347,11 @@ def execute(payload: dict) -> dict:
             "phase_times_us": dict(compiled.phase_times_us),
         }
     else:
-        tuned = False
-        if not request.degraded:
-            from ..tuning.table import get_table
-
-            table = get_table()
-            if table is not None:
-                tuned = (
-                    table.lookup_key(
-                        program.collective.value,
-                        request.buffer_mb * MB,
-                        cluster,
-                    )
-                    is not None
-                )
+        tuned = table is not None and table.lookup_key(
+            program.collective.value, request.buffer_mb * MB, cluster
+        ) is not None
         plan = backend.plan(cluster, program, request.buffer_mb * MB)
-        if request.sim_fidelity != "exact":
-            plan = dataclasses.replace(
-                plan, config=plan.config.with_fidelity(request.sim_fidelity)
-            )
+        plan = plan.with_fidelity(request.sim_fidelity)
         report = simulate(plan)
         result = {
             "algorithm": program.name,

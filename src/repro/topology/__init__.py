@@ -3,6 +3,7 @@
 from .cluster import TIERS, Cluster, Path, multi_node, single_node, tier_of
 from .hardware import (
     GpuProfile,
+    PROFILE_NAMES,
     LinkSpec,
     a100_profile,
     gbits_to_bytes_per_us,
@@ -20,6 +21,7 @@ __all__ = [
     "LinkSpec",
     "a100_profile",
     "v100_profile",
+    "PROFILE_NAMES",
     "profile_by_name",
     "gbps_to_bytes_per_us",
     "gbits_to_bytes_per_us",

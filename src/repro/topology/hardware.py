@@ -127,11 +127,14 @@ _PROFILES = {
     "V100": v100_profile,
 }
 
+#: Names :func:`profile_by_name` accepts (in any case).
+PROFILE_NAMES = tuple(sorted(_PROFILES))
+
 
 def profile_by_name(name: str) -> GpuProfile:
     """Look up a built-in profile by name (case-insensitive)."""
     try:
         return _PROFILES[name.upper()]()
     except KeyError:
-        known = ", ".join(sorted(_PROFILES))
+        known = ", ".join(PROFILE_NAMES)
         raise ValueError(f"unknown GPU profile {name!r}; known: {known}") from None

@@ -38,10 +38,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
-from ..algorithms import available_algorithms, build_algorithm
+from ..algorithms import available_algorithms
 from ..ir.task import parse_collective
 from ..obs.metrics import current_registry
-from ..topology import Cluster, profile_by_name
+from ..request import RequestError, build_cluster, resolve_spec, split_spec
+from ..topology import Cluster
 
 #: Bump whenever the entry schema (or anything its meaning depends on)
 #: changes shape — old tables are then quarantined as silent misses.
@@ -326,10 +327,8 @@ class TuningTable:
         for entry in self.entries.values():
             shape = entry["cluster"]
             try:
-                cluster = Cluster(
-                    nodes=shape["nodes"],
-                    gpus_per_node=shape["gpus_per_node"],
-                    profile=profile_by_name(shape["profile"]),
+                cluster = build_cluster(
+                    shape["nodes"], shape["gpus_per_node"], shape["profile"]
                 )
             except (KeyError, TypeError, ValueError):
                 bad.append(entry)
@@ -361,22 +360,8 @@ def _entry_ok(key: str, entry: object) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Spec resolution (shared by the tuner and the serving hot path)
+# Spec collectives
 # ----------------------------------------------------------------------
-
-
-def resolve_spec(spec: str, cluster: Cluster):
-    """Algorithm spec -> elaborated program (registry name or synth)."""
-    if ":" in spec:
-        from ..synth import TACCLSynthesizer, TECCLSynthesizer
-
-        synth_name, _, coll_name = spec.partition(":")
-        synthesizers = {"taccl": TACCLSynthesizer, "teccl": TECCLSynthesizer}
-        builder = synthesizers.get(synth_name.lower())
-        if builder is None:
-            raise ValueError(f"unknown synthesizer {synth_name!r}")
-        return builder().synthesize(cluster, parse_collective(coll_name))
-    return build_algorithm(spec, cluster)
 
 
 def spec_collective(spec: str) -> Optional[str]:
@@ -387,16 +372,16 @@ def spec_collective(spec: str) -> Optional[str]:
     unrecognizable (inline sources, file paths) — those simply never
     participate in tuning.
     """
-    if not spec:
+    try:
+        parts = split_spec(spec)
+    except RequestError:
         return None
-    if ":" in spec:
-        name = spec.partition(":")[2]
-    elif spec in available_algorithms():
-        name = spec.rsplit("-", 1)[-1]
-    else:
+    if parts is not None:
+        return parts[1].value.lower()
+    if spec not in available_algorithms():
         return None
     try:
-        return parse_collective(name).value.lower()
+        return parse_collective(spec.rsplit("-", 1)[-1]).value.lower()
     except ValueError:
         return None
 

@@ -40,14 +40,9 @@ from ..obs.log import get_logger
 from ..obs.metrics import current_registry
 from ..obs.spans import span as obs_span
 from ..runtime.plan import MB, plan_microbatches
-from ..topology import Cluster, profile_by_name
-from .table import (
-    TunedConfig,
-    TuningTable,
-    cell_key,
-    make_entry,
-    resolve_spec,
-)
+from ..request import build_cluster, resolve_spec
+from ..topology import Cluster
+from .table import TunedConfig, TuningTable, cell_key, make_entry
 
 #: The plan-source arms of the search ("scheduler choice" in NCCL-tuner
 #: terms): the paper's HPDS-scheduled built-ins vs each synthesizer.
@@ -79,11 +74,7 @@ class Cell:
         return int(round(self.buffer_mb * MB))
 
     def cluster(self) -> Cluster:
-        return Cluster(
-            nodes=self.nodes,
-            gpus_per_node=self.gpus,
-            profile=profile_by_name(self.profile),
-        )
+        return build_cluster(self.nodes, self.gpus, self.profile)
 
     def label(self) -> str:
         return (
@@ -191,8 +182,6 @@ def candidate_space(
 
 def _score_point(point: dict) -> dict:
     """Plan + simulate one candidate; the sweep worker target."""
-    import dataclasses as _dc
-
     from ..core import ResCCLBackend
     from ..runtime import simulate
 
@@ -208,10 +197,7 @@ def _score_point(point: dict) -> dict:
         use_tuning=False,  # scoring must never consult an installed table
     )
     plan = backend.plan(cluster, program, float(cell.buffer_bytes))
-    if point["fidelity"] != "exact":
-        plan = _dc.replace(
-            plan, config=plan.config.with_fidelity(point["fidelity"])
-        )
+    plan = plan.with_fidelity(point["fidelity"])
     report = simulate(plan)
     return {
         "completion_time_us": report.completion_time_us,

@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import argparse
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
 
 
 class TestAlgos:
@@ -123,6 +128,9 @@ class TestMalformedCounts:
             ["run", "ring-allreduce", "--mbs", "0"],
             ["compile", "ring-allreduce", "--mbs", "0"],
             ["trace", "ring-allreduce", "--mbs", "two"],
+            ["trace", "ring-allreduce", "--width", "0"],
+            ["trace", "ring-allreduce", "--width", "-5"],
+            ["profile", "ring-allreduce", "--metrics-limit", "-2"],
         ],
     )
     def test_non_positive_count_exits_2(self, argv, capsys):
@@ -130,6 +138,66 @@ class TestMalformedCounts:
             main(argv)
         assert info.value.code == 2
         assert "error: argument --" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--inject", "link-flap", "--fault-intensity", "7"],
+            ["--inject", "link-flap", "--fault-intensity", "-1"],
+            ["--inject", "link-kill", "--failover-factor", "-3"],
+        ],
+    )
+    def test_fault_knob_outside_unit_interval_is_an_error(self, flags):
+        with pytest.raises(SystemExit, match=r"error: .* must be in \[0, 1\]"):
+            main(["run", "ring-allreduce", "--nodes", "1", "--gpus", "4",
+                  "--buffer-mb", "8", "--mbs", "2", *flags])
+
+    @pytest.mark.parametrize("sizes", ["-4", "16,nan", "16,x"])
+    def test_tune_sizes_take_the_buffer_mb_bound(self, sizes, tmp_path, capsys):
+        # A negative size used to reach the tuner and end in a traceback.
+        with pytest.raises(SystemExit) as info:
+            main(["tune", f"--sizes-mb={sizes}", "--table", str(tmp_path / "t.json")])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.startswith("error: --sizes-mb: must be")
+
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [
+            (["run", "ring-allreduce", "--mbs", "0"], {"mbs": 0}),
+            (["run", "ring-allreduce", "--buffer-mb", "-1"], {"buffer_mb": -1}),
+            (["run", "ring-allreduce", "--buffer-mb", "nan"],
+             {"buffer_mb": float("nan")}),
+            # Were the cap missing, the bad --rank would end the command
+            # before an 8192-rank program is built.
+            (["trace", "ring-allreduce", "--nodes", "1024", "--gpus", "8",
+              "--rank", "99999"], {"nodes": 1024, "gpus": 8}),
+            (["verify", "ring-allreduce", "--profile", "H100"],
+             {"profile": "H100"}),
+            (["compile", "ring-allreduce", "--scheduler", "RR"],
+             {"scheduler": "RR"}),
+            (["run", "ring-allreduce", "--sim-fidelity", "medium"],
+             {"sim_fidelity": "medium"}),
+            (["verify", "taccl:foo"], {"algorithm": "taccl:foo"}),
+            (["verify", "xyz:allreduce"], {"algorithm": "xyz:allreduce"}),
+        ],
+    )
+    def test_cli_and_service_reject_with_one_reason(self, argv, payload, capsys):
+        from repro.service import RequestError, parse_request
+
+        with pytest.raises(RequestError) as refused:
+            parse_request("compile", {"algorithm": "ring-allreduce", **payload})
+        message = str(refused.value)
+        # Field errors read "field '<name>': <reason>"; the CLI prints the
+        # same reason after "argument --<flag>:".
+        reason = message.split(": ", 1)[1] if message.startswith("field ") else message
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        error_lines = [line for line in err.splitlines() if "error:" in line]
+        assert len(error_lines) == 1
+        assert error_lines[0].endswith(reason)
 
     @pytest.mark.parametrize(
         "argv",
@@ -150,6 +218,15 @@ class TestMalformedCounts:
 
 
 class TestRunAndCompare:
+    def test_fractional_buffer_and_compare_header(self, capsys):
+        # The CLI takes the service's positive float for --buffer-mb
+        # (an integer before); the compare header prints it with :g.
+        argv = ["ring-allreduce", "--nodes", "1", "--gpus", "4", "--mbs", "2"]
+        assert main(["run", *argv, "--buffer-mb", "0.5"]) == 0
+        capsys.readouterr()
+        assert main(["compare", *argv, "--buffer-mb", "16"]) == 0
+        assert ", 16 MB:" in capsys.readouterr().out
+
     def test_run_resccl(self, capsys):
         assert (
             main(
@@ -620,3 +697,41 @@ class TestFaultInjection:
         finally:
             experiments.REGISTRY["resilience"] = original
         assert seen["seed"] == 42
+
+
+def _doc_sections(text, prefix):
+    """``{heading: body}`` of the ``## <prefix>...`` sections of a doc."""
+    sections = {}
+    for chunk in text.split("\n## ")[1:]:
+        heading, _, body = chunk.partition("\n")
+        if heading.startswith(prefix):
+            sections[heading] = body
+    return sections
+
+
+class TestReference:
+    def test_cli_md_lists_every_option_and_default(self):
+        sections = _doc_sections((DOCS / "cli.md").read_text(), "`resccl ")
+        parser = build_parser()
+        (commands,) = [
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        for name, subparser in commands.choices.items():
+            body = sections[f"`resccl {name}`"]
+            rows = {
+                line.split("|")[1].strip().strip("`"): line
+                for line in body.splitlines() if line.startswith("| `")
+            }
+            for action in subparser._actions:
+                if not action.option_strings or action.dest == "help":
+                    continue
+                (option,) = action.option_strings
+                assert option in rows, f"{name}: {option} undocumented"
+                default = action.default
+                if default is None or default is False:
+                    continue
+                shown = f"{default:g}" if isinstance(default, float) else default
+                assert f"| `{shown}` |" in rows[option], (
+                    f"{name} {option}: default {shown} undocumented"
+                )

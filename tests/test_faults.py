@@ -182,6 +182,22 @@ class TestInjection:
                 == second.report.completion_time_us)
         assert first.fault_plan.events == second.fault_plan.events
 
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"intensity": 7.0},
+            {"intensity": -1.0},
+            {"intensity": float("nan")},
+            {"fallback_capacity_factor": -3.0},
+        ],
+    )
+    def test_run_with_faults_rejects_knobs_outside_unit_interval(self, plan, knob):
+        # Out-of-range values used to be clamped (intensity) or read as
+        # 0 (capacity factor), so the run silently ignored what was asked.
+        (name,) = knob
+        with pytest.raises(ValueError, match=f"{name} must be in \\[0, 1\\]"):
+            run_with_faults(plan, "link-kill", seed=0, **knob)
+
     def test_retry_policy_readmits_after_flap(self, plan, clean):
         window = plan.config.watchdog_window_us
         fp = FaultPlan().flap(edge_of(plan), at_us=200.0,

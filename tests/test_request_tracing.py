@@ -590,6 +590,8 @@ class TestDaemonTracing:
         payload = excinfo.value.payload
         assert payload["trace_id"] and valid_trace_id(payload["trace_id"])
         assert payload["request_id"] == payload["trace_id"]
+        trace = client.request_trace(payload["trace_id"])
+        assert (trace["status"], trace["error"]) == (400, payload["error"])
         # 400: body that is not JSON at all.
         conn = http.client.HTTPConnection("127.0.0.1", daemon.port,
                                           timeout=30)

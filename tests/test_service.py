@@ -103,6 +103,15 @@ class TestParseRequest:
                 "compile", {"algorithm": "ring-allreduce", "mbs": "many"}
             )
 
+    def test_profile_error_names_the_profile_once(self):
+        with pytest.raises(RequestError) as excinfo:
+            parse_request(
+                "compile", {"algorithm": "ring-allreduce", "profile": "H100"}
+            )
+        assert str(excinfo.value) == (
+            "field 'profile': unknown GPU profile 'H100'; known: A100, V100"
+        )
+
     def test_rejects_non_dict_body_and_bad_op(self):
         with pytest.raises(RequestError, match="JSON object"):
             parse_request("compile", [1, 2])
@@ -162,6 +171,10 @@ class TestParseRequest:
             ("gpus", 7.5),
             ("nodes", "2"),
             ("buffer_mb", "16"),
+            # null is no number: it used to reach nodes*gpus or a worker.
+            ("nodes", None),
+            ("mbs", None),
+            ("profile", 5),
         ):
             with pytest.raises(RequestError, match=f"{field}.*must be"):
                 parse_request(
@@ -188,6 +201,30 @@ class TestParseRequest:
         assert parse_request(
             "simulate", {"source": "program p { }"}
         ).source == "program p { }"
+
+
+class TestRequestDocs:
+    def test_service_md_field_table_matches_the_field_table(self):
+        from pathlib import Path
+
+        from repro.request import FIELDS
+
+        doc = (
+            Path(__file__).resolve().parent.parent / "docs" / "service.md"
+        ).read_text()
+        section = doc.split("\n## Requests\n", 1)[1].split("\n## ", 1)[0]
+        rows = {
+            line.split("|")[1].strip().strip("`"): line.replace("`", "")
+            for line in section.splitlines() if line.startswith("| `")
+        }
+        for name, field in FIELDS.items():
+            assert name in rows, f"{name} undocumented"
+            assert f"| {field.bound}" in rows[name], f"{name}: bound"
+            if field.default is not None:
+                default = field.default
+                shown = f"{default:g}" if isinstance(default, float) else default
+                assert f"| {shown} |" in rows[name], f"{name}: default"
+        assert f"({MAX_WORLD_SIZE} ranks)" in section
 
 
 class TestFingerprint:

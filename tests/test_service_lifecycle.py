@@ -362,6 +362,9 @@ class TestDrainAndHotRestart:
                     client.simulate(**FAST)
                 assert excinfo.value.status == 503
                 assert "draining" in str(excinfo.value)
+                # The stitched trace names the lifecycle state alone.
+                trace = client.request_trace(excinfo.value.payload["trace_id"])
+                assert trace["error"] == "not accepting requests: draining"
             # Drain persisted the warm state for the next boot.
             assert (tmp_path / "journal" / PREWARM_FILE).exists()
             assert (tmp_path / "journal" / RECORDER_FILE).exists()
