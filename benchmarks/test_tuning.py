@@ -3,9 +3,10 @@
 Tunes the 2x4 serving matrix (allreduce / allgather / reducescatter at
 64 and 128 MB) and records, per cell, the tuned winner against the untuned
 ring default, the request-time cost of serving a tuned plan against an
-ordinary plan-cache hit, and the search cost of the two-stage
-fast-fidelity screen against scoring the whole grid under ``exact``.
-Writes ``BENCH_tuning.json`` at the repo root for CI diffing.
+ordinary plan-cache hit, and the search cost of the branch-and-bound
+tuner against scoring the whole grid under ``exact`` (the exhaustive
+reference in ``tests/oracles/tuning.py``).  Writes ``BENCH_tuning.json``
+at the repo root for CI diffing.
 
 Asserted acceptance shape:
 
@@ -14,12 +15,14 @@ Asserted acceptance shape:
 * a **table hit adds no search to the hot path** — best-of-N
   ``ResCCLBackend.plan`` latency with the table installed stays within
   2x of a plain plan-cache hit;
-* the fast-fidelity screen cuts summed simulation cost **>= 2x**
-  against the exact-only reference while picking **identical winners**.
+* the lower bound cuts summed search cost **>= 2x** against the
+  exhaustive reference while writing a **byte-identical table**.
 
-Search costs are compared as summed per-point simulation seconds
-(``CellResult.screen_cost_s + exact_cost_s``), which is stable under
-worker parallelism, rather than end-to-end wall clock.
+Search costs are compared as summed per-point seconds — every plan,
+bound and simulation (``CellResult.bound_cost_s + exact_cost_s``) —
+which is stable under worker parallelism, rather than end-to-end wall
+clock.  The plan cache is emptied before each search, so neither
+inherits the other's plans.
 """
 
 from __future__ import annotations
@@ -32,16 +35,14 @@ from pathlib import Path
 from conftest import once
 
 from repro.algorithms import build_algorithm
-from repro.core import ResCCLBackend
+from repro.core import ResCCLBackend, plancache
 from repro.tuning.table import configure_tuning
 from repro.tuning.tuner import Cell, tune
+from tests.oracles.tuning import exhaustive_tune
 
 OUT = Path(__file__).resolve().parent.parent / "BENCH_tuning.json"
 
-#: 64 MB and up keeps every candidate genuinely micro-batched, so the
-#: fast screen's collapse has real work on each point — at 32 MB much
-#: of the grid plans so few micro-batches that the screen silently pays
-#: exact cost (the ``collapse_noops`` column tracks this).
+#: 64 MB and up keeps every candidate genuinely micro-batched.
 CELLS = tuple(
     Cell(collective=collective, buffer_mb=buffer_mb, nodes=2, gpus=4)
     for collective in ("allreduce", "allgather", "reducescatter")
@@ -51,7 +52,7 @@ CELLS = tuple(
 MIN_CELLS_IMPROVED = 3
 MIN_BEST_IMPROVEMENT = 0.10
 MAX_HIT_LATENCY_RATIO = 2.0
-MIN_SCREEN_COST_REDUCTION = 2.0
+MIN_SEARCH_COST_REDUCTION = 2.0
 
 LATENCY_ROUNDS = 25
 
@@ -120,59 +121,64 @@ def _cell_rows(report):
                 "tuned_us": entry["tuned_us"],
                 "default_us": entry["default_us"],
                 "improvement": result.improvement,
+                "bound_us": result.bound_us,
                 "candidates": result.candidates,
-                "screened": result.screened,
                 "exact_scored": result.exact_scored,
-                "screen_cost_s": result.screen_cost_s,
+                "bound_cost_s": result.bound_cost_s,
                 "exact_cost_s": result.exact_cost_s,
-                "collapse_noops": result.collapse_noops,
                 "wall_s": result.wall_s,
             }
         )
         print(
             f"  {result.cell.label():>28}  {entry['config']['algorithm']:<18}"
             f"  tuned {entry['tuned_us']:8.1f}us"
+            f"  bound {result.bound_us:8.1f}us"
             f"  default {entry['default_us']:8.1f}us"
-            f"  {result.improvement:+.1%}",
+            f"  {result.improvement:+.1%}"
+            f"  simulated {result.exact_scored}/{result.candidates}",
             flush=True,
         )
     return rows
 
 
 def test_tuning(once, tmp_path):
-    screened_path = tmp_path / "screened.json"
+    tuned_path = tmp_path / "tuned.json"
     exact_path = tmp_path / "exact.json"
 
-    print("\nscreened (two-stage) search:", flush=True)
-    screened = once(
-        tune, CELLS, screened_path, screen_fidelity="fast"
-    )
-    print("exact-only reference search:", flush=True)
-    exact = tune(CELLS, exact_path, screen_fidelity="exact")
+    print("\nbranch-and-bound search:", flush=True)
+    plancache.get_cache().clear()
+    tuned = once(tune, CELLS, tuned_path)
+    print("exhaustive exact reference search:", flush=True)
+    plancache.get_cache().clear()
+    exact = exhaustive_tune(CELLS, exact_path)
 
-    cells = _cell_rows(screened)
+    cells = _cell_rows(tuned)
     print("serving latency (best of "
           f"{LATENCY_ROUNDS}):", flush=True)
-    latency = _hit_latencies(screened_path)
+    latency = _hit_latencies(tuned_path)
 
-    screened_cost = sum(r.search_cost_s for r in screened.scored)
+    tuned_cost = sum(r.search_cost_s for r in tuned.scored)
     exact_cost = sum(r.search_cost_s for r in exact.scored)
     winners = {
-        key: entry["config"] for key, entry in screened.table.entries.items()
+        key: entry["config"] for key, entry in tuned.table.entries.items()
     }
     reference = {
         key: entry["config"] for key, entry in exact.table.entries.items()
     }
     search = {
-        "screened_cost_s": screened_cost,
+        "tuned_cost_s": tuned_cost,
         "exact_only_cost_s": exact_cost,
-        "reduction": exact_cost / screened_cost if screened_cost else None,
+        "reduction": exact_cost / tuned_cost if tuned_cost else None,
+        "simulated": sum(r.exact_scored for r in tuned.scored),
+        "candidates": sum(r.candidates for r in tuned.scored),
         "winners_identical": winners == reference,
+        "table_identical": tuned_path.read_bytes() == exact_path.read_bytes(),
     }
     print(
-        f"  search cost: screened {screened_cost:.2f}s"
+        f"  search cost: branch-and-bound {tuned_cost:.2f}s"
         f"  exact-only {exact_cost:.2f}s"
-        f"  reduction {search['reduction']:.2f}x",
+        f"  reduction {search['reduction']:.2f}x"
+        f"  ({search['simulated']}/{search['candidates']} simulated)",
         flush=True,
     )
 
@@ -197,6 +203,7 @@ def test_tuning(once, tmp_path):
         row["ratio"] <= MAX_HIT_LATENCY_RATIO for row in latency
     ), latency
 
-    # The screen pays for itself without changing any winner.
+    # The bound pays for itself without changing any winner.
     assert search["winners_identical"], (winners, reference)
-    assert search["reduction"] >= MIN_SCREEN_COST_REDUCTION, search
+    assert search["table_identical"], search
+    assert search["reduction"] >= MIN_SEARCH_COST_REDUCTION, search

@@ -1,4 +1,5 @@
-"""Result analysis: table rows, per-TB breakdowns, comparison helpers."""
+"""Result analysis: table rows, per-TB breakdowns, comparison helpers,
+and the physics lower bound of a plan."""
 
 from .attribution import (
     BUCKETS,
@@ -8,6 +9,7 @@ from .attribution import (
     attribute,
     critical_path,
 )
+from .bounds import LowerBound, lower_bound
 from .timeline import (
     ascii_gantt,
     partition_trace,
@@ -39,6 +41,8 @@ __all__ = [
     "PathSegment",
     "attribute",
     "critical_path",
+    "LowerBound",
+    "lower_bound",
     "ascii_gantt",
     "partition_trace",
     "request_trace_to_chrome",

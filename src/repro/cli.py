@@ -24,12 +24,12 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import inspect
 
 from .algorithms import available_algorithms
-from .analysis import format_table
+from .analysis import format_table, lower_bound
 from .baselines import MSCCLBackend, NCCLBackend
 from .core import ResCCLBackend, ResCCLCompiler, allocate_tbs, lower_to_programs
 from .core import plancache, render_kernel_source
@@ -63,6 +63,9 @@ _CLUSTER_FIELDS = ("nodes", "gpus", "profile")
 
 #: ``run`` and ``compare`` default to one large, training-sized call.
 _LARGE_CALL = {"buffer_mb": 256.0, "mbs": 16}
+
+#: ``--backend`` choices, lower case.
+_BACKENDS = {"resccl": ResCCLBackend, "msccl": MSCCLBackend, "nccl": NCCLBackend}
 
 
 def _flag_type(field):
@@ -108,6 +111,11 @@ def _check_rank(rank: int, cluster: Cluster) -> None:
     """Exit 2 on a rank the cluster does not have."""
     if not 0 <= rank < cluster.world_size:
         raise RequestError(f"rank {rank} is outside [0, {cluster.world_size})")
+
+
+def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--backend", default="resccl", type=str.lower,
+                        choices=list(_BACKENDS), help="backend to plan with")
 
 
 def _add_fault_args(parser: argparse.ArgumentParser) -> None:
@@ -168,65 +176,47 @@ def _configure_tuning(args: argparse.Namespace) -> None:
     if path is None:
         return
     if not Path(path).is_file():
-        raise SystemExit(f"error: tuning table not found: {path}")
+        raise RequestError(f"tuning table not found: {path}")
     from .tuning.table import configure_tuning
 
     configure_tuning(path)
 
 
-def _cluster_from(args: argparse.Namespace) -> Cluster:
-    return build_cluster(args.nodes, args.gpus, args.profile)
-
-
 _DEFAULT_SHAPE = (FIELDS["nodes"].default, FIELDS["gpus"].default)
 
 
-def _fit_cluster(
-    args: argparse.Namespace, cluster: Cluster, program: AlgoProgram
-) -> Cluster:
-    """Refit the *default* cluster to a program of a different world size.
+def _program_and_cluster(args: argparse.Namespace) -> Tuple[AlgoProgram, Cluster]:
+    """The program ``args.algorithm`` names and the cluster to run it on.
 
-    DSL files pin their rank count; when the user did not choose a
-    cluster shape explicitly, size the testbed to the program instead of
-    failing validation with a world-size mismatch.
+    DSL and XML files pin their rank count: without an explicit shape,
+    the default testbed is refit to the file's world size.  An explicit
+    shape is kept, so validation reports a mismatch.
     """
-    if program.nranks == cluster.world_size:
-        return cluster
-    if (args.nodes, args.gpus) != _DEFAULT_SHAPE:
-        return cluster  # explicit shape: let validation report the mismatch
+    cluster = build_cluster(args.nodes, args.gpus, args.profile)
+    spec = args.algorithm
+    path = Path(spec)
+    builtin = spec in available_algorithms()
+    if builtin or not path.exists():
+        if builtin or split_spec(spec) is not None:
+            return resolve_spec(spec, cluster), cluster
+        raise RequestError(
+            f"{spec!r} is not a built-in algorithm, a synthesizer spec "
+            f"({SPEC_FORM}), or a readable file.\n"
+            f"Built-ins: {', '.join(available_algorithms())}"
+        )
+    if path.suffix == ".xml":
+        program = read_msccl_xml(str(path))
+    else:
+        program = parse_program(path.read_text())
+    if (program.nranks == cluster.world_size
+            or (args.nodes, args.gpus) != _DEFAULT_SHAPE):
+        return program, cluster
     gpus_per_node = min(program.header.gpus_per_node, program.nranks)
     if gpus_per_node < 1 or program.nranks % gpus_per_node != 0:
         gpus_per_node = program.nranks
-    return build_cluster(
+    return program, build_cluster(
         program.nranks // gpus_per_node, gpus_per_node, args.profile
     )
-
-
-def _resolve_algorithm(spec: str, cluster: Cluster) -> AlgoProgram:
-    """Name, synthesizer spec, or DSL file path -> elaborated program."""
-    path = Path(spec)
-    if spec not in available_algorithms() and path.exists():
-        if path.suffix == ".xml":
-            return read_msccl_xml(str(path))
-        return parse_program(path.read_text())
-    if spec in available_algorithms() or split_spec(spec) is not None:
-        return resolve_spec(spec, cluster)
-    raise SystemExit(
-        f"error: {spec!r} is not a built-in algorithm, a synthesizer spec "
-        f"({SPEC_FORM}), or a readable file.\n"
-        f"Built-ins: {', '.join(available_algorithms())}"
-    )
-
-
-def _make_backend(name: str, max_microbatches: int):
-    name = name.lower()
-    if name == "resccl":
-        return ResCCLBackend(max_microbatches=max_microbatches)
-    if name == "msccl":
-        return MSCCLBackend(max_microbatches=max_microbatches)
-    if name == "nccl":
-        return NCCLBackend(max_microbatches=max_microbatches)
-    raise SystemExit(f"error: unknown backend {name!r} (resccl/msccl/nccl)")
 
 
 def _plan(backend, cluster, program, nbytes):
@@ -251,8 +241,7 @@ def cmd_algos(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cluster = _cluster_from(args)
-    program = _resolve_algorithm(args.algorithm, cluster)
+    program, cluster = _program_and_cluster(args)
     print(f"program: {program!r}")
     report = validate_program(program, cluster)
     if not report.ok:
@@ -281,10 +270,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    cluster = _cluster_from(args)
+    program, cluster = _program_and_cluster(args)
     if args.kernel:
         _check_rank(args.rank, cluster)
-    program = _resolve_algorithm(args.algorithm, cluster)
     compiled = ResCCLCompiler(scheduler=args.scheduler).compile(
         program, cluster
     )
@@ -329,10 +317,8 @@ def _print_deadlock(exc: SimulationDeadlock) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     _configure_cache(args)
     _configure_tuning(args)
-    cluster = _cluster_from(args)
-    program = _resolve_algorithm(args.algorithm, cluster)
-    cluster = _fit_cluster(args, cluster, program)
-    backend = _make_backend(args.backend, args.mbs)
+    program, cluster = _program_and_cluster(args)
+    backend = _BACKENDS[args.backend](max_microbatches=args.mbs)
     plan = _plan(backend, cluster, program, args.buffer_mb * MB)
     plan = plan.with_fidelity(args.sim_fidelity)
     try:
@@ -369,8 +355,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    cluster = _cluster_from(args)
-    program = _resolve_algorithm(args.algorithm, cluster)
+    program, _ = _program_and_cluster(args)
     out = Path(args.output)
     if out.suffix == ".xml":
         write_msccl_xml(program, str(out))
@@ -395,8 +380,8 @@ def _parse_ranks(args: argparse.Namespace, cluster: Cluster) -> Optional[List[in
                 {int(tok) for tok in ranks_arg.split(",") if tok.strip()}
             )
         except ValueError:
-            raise SystemExit(
-                "error: --ranks wants a comma-separated list of rank "
+            raise RequestError(
+                "--ranks wants a comma-separated list of rank "
                 f"numbers, got {ranks_arg!r}"
             ) from None
         if any(r < 0 for r in parsed):
@@ -419,10 +404,9 @@ def _traced_report(plan, args: argparse.Namespace):
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    cluster = _cluster_from(args)
+    program, cluster = _program_and_cluster(args)
     ranks = _parse_ranks(args, cluster)
-    program = _resolve_algorithm(args.algorithm, cluster)
-    backend = _make_backend(args.backend, args.mbs)
+    backend = _BACKENDS[args.backend](max_microbatches=args.mbs)
     plan = _plan(backend, cluster, program, args.buffer_mb * MB)
     plan = plan.with_fidelity(args.sim_fidelity)
     try:
@@ -468,10 +452,8 @@ def _link_table(report, limit: int) -> str:
 def cmd_profile(args: argparse.Namespace) -> int:
     _configure_cache(args)
     _configure_tuning(args)
-    cluster = _cluster_from(args)
-    program = _resolve_algorithm(args.algorithm, cluster)
-    cluster = _fit_cluster(args, cluster, program)
-    backend = _make_backend(args.backend, args.mbs)
+    program, cluster = _program_and_cluster(args)
+    backend = _BACKENDS[args.backend](max_microbatches=args.mbs)
     ranks = _parse_ranks(args, cluster)
     try:
         with observe() as obs:
@@ -551,15 +533,14 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     _configure_cache(args)
-    cluster = _cluster_from(args)
-    program = _resolve_algorithm(args.algorithm, cluster)
-    cluster = _fit_cluster(args, cluster, program)
+    program, cluster = _program_and_cluster(args)
     rows = []
     baseline: Optional[float] = None
     for name in ("NCCL", "MSCCL", "ResCCL"):
-        backend = _make_backend(name, args.mbs)
+        backend = _BACKENDS[name.lower()](max_microbatches=args.mbs)
+        plan = _plan(backend, cluster, program, args.buffer_mb * MB)
         try:
-            report = simulate(_plan(backend, cluster, program, args.buffer_mb * MB))
+            report = simulate(plan)
         except SimulationDeadlock as exc:
             print(f"backend {name}:", file=sys.stderr)
             _print_deadlock(exc)
@@ -572,6 +553,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 f"{report.algo_bandwidth_gbps:.1f}",
                 f"{report.completion_time_us / 1000.0:.2f}",
                 f"{report.algo_bandwidth / baseline:.2f}x",
+                f"{lower_bound(plan).percent(report.completion_time_us):.0f}%",
                 str(report.max_tbs_per_rank()),
                 f"{report.avg_idle_fraction():.1%}",
             ]
@@ -579,11 +561,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     print(f"{program.name} on {cluster}, {args.buffer_mb:g} MB:\n")
     print(
         format_table(
-            ["backend", "algbw GB/s", "time ms", "vs NCCL", "TBs/rank",
-             "TB idle"],
+            ["backend", "algbw GB/s", "time ms", "vs NCCL", "% of bound",
+             "TBs/rank", "TB idle"],
             rows,
         )
     )
+    print("\n% of bound: completion over the plan's lower bound (100 = optimal)")
     return 0
 
 
@@ -619,7 +602,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     except RequestError as exc:
         raise RequestError(f"--sizes-mb: {exc}") from None
     if not collectives or not sizes:
-        raise SystemExit("error: need at least one collective and one size")
+        raise RequestError("need at least one collective and one size")
     schedulers = tuple(
         s.strip() for s in args.schedulers.split(",") if s.strip()
     )
@@ -644,7 +627,6 @@ def cmd_tune(args: argparse.Namespace) -> int:
         table_path,
         jobs=args.jobs,
         schedulers=schedulers,
-        screen_fidelity=args.screen,
         force=args.force,
     )
     rows = []
@@ -658,15 +640,17 @@ def cmd_tune(args: argparse.Namespace) -> int:
         else:
             failed += 1
             winner, tuned_ms, default_ms, win = "-", "-", "-", "-"
+        # The bound is reported, not stored: skipped cells have none.
+        bound_ms = f"{result.bound_us / 1e3:.2f}" if result.bound_us else "-"
         rows.append([
-            result.cell.label(), result.status, winner, tuned_ms,
-            default_ms, win, str(result.candidates),
+            result.cell.label(), result.status, winner, tuned_ms, bound_ms,
+            default_ms, win, f"{result.exact_scored}/{result.candidates}",
             f"{result.wall_s:.1f}",
         ])
     print(
         format_table(
-            ["cell", "status", "winner", "tuned ms", "default ms",
-             "vs default", "cands", "wall s"],
+            ["cell", "status", "winner", "tuned ms", "bound ms",
+             "default ms", "vs default", "simulated", "wall s"],
             rows,
         )
     )
@@ -735,7 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate one collective call")
     p_run.add_argument("algorithm")
-    p_run.add_argument("--backend", default="resccl")
+    _add_backend_arg(p_run)
     _add_fields(p_run, "buffer_mb", "mbs", "sim_fidelity", *_CLUSTER_FIELDS,
                 **_LARGE_CALL)
     _add_fault_args(p_run)
@@ -762,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="execution timeline (ASCII Gantt / Chrome trace)"
     )
     p_trace.add_argument("algorithm")
-    p_trace.add_argument("--backend", default="resccl")
+    _add_backend_arg(p_trace)
     _add_fields(p_trace, "buffer_mb", "mbs", "sim_fidelity", *_CLUSTER_FIELDS)
     p_trace.add_argument("--rank", type=int, default=0,
                          help="rank whose TBs to chart (-1 for all)")
@@ -779,7 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="pipeline spans, critical-path attribution, unified trace",
     )
     p_prof.add_argument("algorithm")
-    p_prof.add_argument("--backend", default="resccl")
+    _add_backend_arg(p_prof)
     _add_fields(p_prof, "buffer_mb", "mbs", "sim_fidelity", *_CLUSTER_FIELDS)
     p_prof.add_argument("--ranks", default=None, metavar="R1,R2,...",
                         help="rank filter for the exported trace lanes")
@@ -870,12 +854,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--schedulers", default="hpds,taccl,teccl", metavar="S1,S2,...",
         help="plan sources to search: 'hpds' sweeps the built-in "
         "HPDS-scheduled family, 'taccl'/'teccl' add synthesized plans",
-    )
-    p_tune.add_argument(
-        "--screen", default="fast", choices=["fast", "exact"],
-        help="first-stage fidelity: 'fast' screens the whole grid "
-        "cheaply and re-scores survivors exactly (successive halving); "
-        "'exact' scores everything exactly in one stage",
     )
     p_tune.add_argument(
         "--force", action="store_true",

@@ -199,12 +199,6 @@ class SimCounters:
     #: 1 when collapse was requested but refused (faults, recovery, or
     #: background traffic present).
     agg_collapse_disabled: int = 0
-    #: 1 when collapse was requested and permitted but had nothing to
-    #: fold — ``n_microbatches == 1`` (or no uniform run survived the
-    #: eligibility checks), so ``fast`` fidelity silently measured the
-    #: exact plan.  Mesh-allreduce at >= 8x8 / 64 MB plans a single
-    #: micro-batch and hits exactly this.
-    agg_collapse_noop: int = 0
 
     #: Work-counter fields allowed to differ between configurations that
     #: must otherwise produce bit-identical reports.
@@ -216,7 +210,6 @@ class SimCounters:
         "agg_runs_collapsed",
         "agg_instances_expanded",
         "agg_collapse_disabled",
-        "agg_collapse_noop",
     )
 
     def summary(self) -> str:
@@ -239,11 +232,6 @@ class SimCounters:
             )
         if self.agg_collapse_disabled:
             text += "; collapse disabled (faults/background traffic)"
-        if self.agg_collapse_noop:
-            text += (
-                "; collapse no-op (single micro-batch — fast fidelity "
-                "measured the exact plan)"
-            )
         return text
 
 

@@ -1070,7 +1070,6 @@ class Simulator:
             ("sim_agg_runs_collapsed_total", counters.agg_runs_collapsed),
             ("sim_agg_instances_expanded_total",
              counters.agg_instances_expanded),
-            ("sim_agg_collapse_noop_total", counters.agg_collapse_noop),
             ("net_reallocations_total", counters.reallocations),
             ("net_rate_changes_total", counters.rate_updates),
         ):
@@ -1200,26 +1199,17 @@ def simulate(
     refused — recorded as ``counters.agg_collapse_disabled`` — whenever
     a fault injector, recovery policy, or background traffic is present,
     because sibling timing is observable in those runs (checkpoints,
-    per-instance retries, external contention).  A collapse that is
-    *permitted but has nothing to fold* (single micro-batch) is recorded
-    as ``counters.agg_collapse_noop`` so fast-fidelity screens can tell
-    when they silently measured the exact plan.
+    per-instance retries, external contention).  A single-micro-batch
+    plan has nothing to fold: ``counters.agg_runs_collapsed`` stays 0 and
+    the counters' summary carries no collapse clause.
     """
     collapsed = None
     collapse_disabled = False
-    collapse_noop = False
     if plan.config.collapse_microbatches:
         if injector is not None or recovery is not None or background_traffic:
             collapse_disabled = True
-        elif plan.n_microbatches > 1:
-            collapsed = collapse_microbatch_runs(plan)
-            if collapsed is None:
-                collapse_noop = True
         else:
-            # Nothing to fold: the plan has a single micro-batch, so
-            # fast fidelity silently measures the exact plan (the
-            # >= 8x8 / 64 MB mesh-allreduce gotcha).
-            collapse_noop = True
+            collapsed = collapse_microbatch_runs(plan)
     with obs_span("simulate", plan=plan.name) as sp:
         sim = Simulator(
             collapsed.plan if collapsed is not None else plan,
@@ -1232,7 +1222,6 @@ def simulate(
         # the counters the run publishes.
         counters = sim.counters
         counters.agg_collapse_disabled = int(collapse_disabled)
-        counters.agg_collapse_noop = int(collapse_noop)
         if collapsed is not None:
             counters.agg_runs_collapsed = collapsed.runs_collapsed
             counters.agg_instances_expanded = collapsed.runs_collapsed * (

@@ -1,4 +1,4 @@
-"""The plan autotuner: two-stage search over plan-shaping knobs.
+"""The plan autotuner: an exact branch-and-bound search over plan knobs.
 
 For each ``(collective, size, topology)`` cell the tuner sweeps the
 plan-shaping knobs — plan source (the paper's HPDS-scheduled built-ins
@@ -6,22 +6,19 @@ vs the TACCL/TECCL synthesizers), micro-batch count, chunk size, and TB
 pipelining allowance — and persists the winner in a
 :class:`~repro.tuning.table.TuningTable`.
 
-Search cost stays bounded by successive halving:
-
-1. **Screen** every surviving candidate under the ``fast`` simulation
-   fidelity (rate hysteresis + micro-batch collapse — bounded error,
-   large speedup).  Candidates whose collapse was a *no-op* (single
-   micro-batch, ``agg_collapse_noop``) are logged per cell: for those
-   the screen silently paid exact cost, the PR 9 mesh-allreduce gotcha.
-2. **Re-score** the top fraction (plus the default config) under
-   ``exact`` fidelity and pick the winner, so the final ranking never
-   depends on fast-fidelity error.
-
 Before any simulation runs, the candidate grid is pruned TACCL-sketch
 style: knob combinations that resolve to the same effective
 ``(plan source, micro-batch count, chunk, allowance)`` are deduplicated
-by cheap static analysis, so most of the grid never reaches the
-simulator.
+by cheap static analysis.  Every surviving candidate is then planned and
+given its physics lower bound (:func:`repro.analysis.bounds.lower_bound`),
+and candidates are simulated under ``exact`` fidelity in ascending
+``(bound, index)`` order, in waves as wide as the sweep's worker count.
+The untuned default is always simulated.  A candidate is skipped once
+its bound exceeds the incumbent's time, or equals it at a higher index:
+it cannot beat the incumbent, nor win a tie against it.  The winner,
+its ``tuned_us`` and its ``default_us`` are therefore exactly those of
+scoring the whole grid (the exhaustive reference in
+``tests/oracles/tuning.py``).
 
 Runs are resumable: cells already present in the table are skipped, and
 the table is re-saved atomically after every scored cell, so an
@@ -30,12 +27,14 @@ interrupted ``resccl tune`` loses at most the in-flight cell.
 
 from __future__ import annotations
 
-import math
+import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..experiments.base import SweepOutcome, parallel_sweep
+from ..analysis.bounds import lower_bound
+from ..experiments.base import parallel_sweep
 from ..obs.log import get_logger
 from ..obs.metrics import current_registry
 from ..obs.spans import span as obs_span
@@ -49,14 +48,10 @@ from .table import TunedConfig, TuningTable, cell_key, make_entry
 SCHEDULER_CHOICES = ("hpds", "taccl", "teccl")
 
 #: Default knob grids.  Deliberately modest — the sketch-style dedupe
-#: prunes further, and successive halving bounds what reaches ``exact``.
+#: prunes further, and the lower bound skips most of what is left.
 DEFAULT_MBS_GRID = (4, 8, 16)
 DEFAULT_CHUNK_KB_GRID = (512, 1024, 2048)
 DEFAULT_TB_ALLOWANCE_GRID = (None, 2)
-
-#: Fraction of screened candidates re-scored under ``exact``.
-DEFAULT_SURVIVOR_FRACTION = 0.25
-MIN_SURVIVORS = 3
 
 
 @dataclass(frozen=True)
@@ -176,19 +171,17 @@ def candidate_space(
 
 
 # ----------------------------------------------------------------------
-# Scoring (runs in parallel_sweep workers — module-level, picklable)
+# Bounding and scoring (parallel_sweep targets — module-level, picklable)
 # ----------------------------------------------------------------------
 
 
-def _score_point(point: dict) -> dict:
-    """Plan + simulate one candidate; the sweep worker target."""
+def _plan_point(point: dict):
+    """The execution plan of one candidate."""
     from ..core import ResCCLBackend
-    from ..runtime import simulate
 
     cell = Cell(**point["cell"])
     config = TunedConfig.from_dict(point["config"])
     cluster = cell.cluster()
-    program = resolve_spec(config.algorithm, cluster)
     backend = ResCCLBackend(
         scheduler=config.scheduler,
         max_microbatches=config.max_microbatches,
@@ -196,16 +189,28 @@ def _score_point(point: dict) -> dict:
         tb_allowance=config.tb_allowance,
         use_tuning=False,  # scoring must never consult an installed table
     )
-    plan = backend.plan(cluster, program, float(cell.buffer_bytes))
-    plan = plan.with_fidelity(point["fidelity"])
-    report = simulate(plan)
-    return {
-        "completion_time_us": report.completion_time_us,
-        "algo_bandwidth_gbps": report.algo_bandwidth_gbps,
-        "n_microbatches": plan.n_microbatches,
-        "collapse_noop": report.counters.agg_collapse_noop,
-        "runs_collapsed": report.counters.agg_runs_collapsed,
-    }
+    program = resolve_spec(config.algorithm, cluster)
+    return backend.plan(cluster, program, float(cell.buffer_bytes))
+
+
+def _bound_point(point: dict) -> float:
+    """Plan one candidate and return its completion-time lower bound."""
+    return lower_bound(_plan_point(point)).bound_us
+
+
+def _score_point(point: dict) -> float:
+    """Plan one candidate and return its ``exact`` completion time."""
+    from ..runtime import simulate
+
+    return simulate(_plan_point(point)).completion_time_us
+
+
+def candidate_points(cell: Cell, candidates: Sequence[TunedConfig]) -> List[dict]:
+    """The sweep points of a cell's candidates, in candidate order."""
+    return [
+        {"cell": cell.to_dict(), "config": config.to_dict()}
+        for config in candidates
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -221,19 +226,20 @@ class CellResult:
     status: str  # "scored" | "skipped" | "failed"
     entry: Optional[dict] = None
     candidates: int = 0
-    screened: int = 0
     exact_scored: int = 0
-    #: Summed per-point simulation cost (stable under parallelism) and
-    #: stage wall-clock, for the with/without-screen comparison.
-    screen_cost_s: float = 0.0
+    #: Summed per-point cost of planning and bounding every candidate,
+    #: and of the exact simulations (stable under parallelism), plus
+    #: the cell's wall clock.
+    bound_cost_s: float = 0.0
     exact_cost_s: float = 0.0
     wall_s: float = 0.0
-    collapse_noops: int = 0
+    #: The winner's lower bound (reported, not stored in the table).
+    bound_us: float = 0.0
     error: str = ""
 
     @property
     def search_cost_s(self) -> float:
-        return self.screen_cost_s + self.exact_cost_s
+        return self.bound_cost_s + self.exact_cost_s
 
     @property
     def improvement(self) -> float:
@@ -263,16 +269,6 @@ class TuneReport:
         return sum(r.search_cost_s for r in self.results)
 
 
-def _rank(outcomes: Sequence[SweepOutcome]) -> List[int]:
-    """Candidate indices ordered best-first; failures rank last."""
-    def sort_key(outcome: SweepOutcome):
-        if not outcome.ok:
-            return (math.inf, outcome.index)
-        return (outcome.value["completion_time_us"], outcome.index)
-
-    return [o.index for o in sorted(outcomes, key=sort_key)]
-
-
 def tune(
     cells: Sequence[Cell],
     table_path,
@@ -281,17 +277,13 @@ def tune(
     mbs_grid: Sequence[int] = DEFAULT_MBS_GRID,
     chunk_kb_grid: Sequence[int] = DEFAULT_CHUNK_KB_GRID,
     tb_allowance_grid: Sequence[Optional[int]] = DEFAULT_TB_ALLOWANCE_GRID,
-    screen_fidelity: Optional[str] = "fast",
-    survivor_fraction: float = DEFAULT_SURVIVOR_FRACTION,
     force: bool = False,
 ) -> TuneReport:
     """Tune every cell and persist winners to ``table_path``.
 
     Args:
-        screen_fidelity: ``"fast"`` runs the two-stage search (screen
-            then exact re-score of survivors); ``None`` or ``"exact"``
-            scores the *whole* grid under exact fidelity in one stage
-            (the expensive reference the benchmark compares against).
+        jobs: sweep worker processes, and so the width of each wave of
+            exact simulations; ``None`` means one per CPU core.
         force: re-score cells already present in the table instead of
             skipping them (the resumability default).
     """
@@ -299,7 +291,6 @@ def tune(
     table = TuningTable.load(table_path)
     report = TuneReport(table=table)
     registry = current_registry()
-    two_stage = screen_fidelity not in (None, "exact")
 
     for cell in cells:
         cluster = cell.cluster()
@@ -314,13 +305,14 @@ def tune(
 
         started = time.perf_counter()
         with obs_span("tune-cell", cell=cell.label()):
-            result = _tune_cell(
-                cell, cluster, jobs=jobs, schedulers=schedulers,
-                mbs_grid=mbs_grid, chunk_kb_grid=chunk_kb_grid,
+            candidates = candidate_space(
+                cell, cluster, schedulers=schedulers, mbs_grid=mbs_grid,
+                chunk_kb_grid=chunk_kb_grid,
                 tb_allowance_grid=tb_allowance_grid,
-                screen_fidelity=screen_fidelity if two_stage else None,
-                survivor_fraction=survivor_fraction, logger=logger,
             )
+            logger.info("tune-cell-start", cell=cell.label(),
+                        candidates=len(candidates))
+            result = _tune_cell(cell, cluster, candidates, jobs)
         result.wall_s = time.perf_counter() - started
         report.results.append(result)
         if result.status != "scored":
@@ -330,7 +322,6 @@ def tune(
             continue
         if registry is not None:
             registry.inc("tuning_cells_scored_total")
-            registry.inc("tuning_candidates_screened_total", result.screened)
             registry.inc("tuning_candidates_exact_total", result.exact_scored)
         table.put(result.entry)
         # Atomic per-cell save: an interrupted run resumes from here.
@@ -341,7 +332,10 @@ def tune(
             winner=result.entry["config"]["algorithm"],
             tuned_us=round(result.entry["tuned_us"], 1),
             default_us=round(result.entry["default_us"], 1),
+            bound_us=round(result.bound_us, 1),
             improvement=round(result.improvement, 4),
+            simulated=result.exact_scored,
+            candidates=result.candidates,
             wall_s=round(result.wall_s, 2),
         )
     return report
@@ -350,97 +344,55 @@ def tune(
 def _tune_cell(
     cell: Cell,
     cluster: Cluster,
+    candidates: Sequence[TunedConfig],
     jobs: Optional[int],
-    schedulers: Sequence[str],
-    mbs_grid: Sequence[int],
-    chunk_kb_grid: Sequence[int],
-    tb_allowance_grid: Sequence[Optional[int]],
-    screen_fidelity: Optional[str],
-    survivor_fraction: float,
-    logger,
 ) -> CellResult:
-    candidates = candidate_space(
-        cell, cluster, schedulers=schedulers, mbs_grid=mbs_grid,
-        chunk_kb_grid=chunk_kb_grid, tb_allowance_grid=tb_allowance_grid,
-    )
+    """Branch and bound over one cell's candidates (index 0 = default)."""
     result = CellResult(cell=cell, status="failed", candidates=len(candidates))
-    logger.info(
-        "tune-cell-start",
-        cell=cell.label(),
-        candidates=len(candidates),
-        screen=screen_fidelity or "exact-only",
-    )
+    points = candidate_points(cell, candidates)
+    # Bound inline: the plans land in this process's plan cache, which
+    # forked scoring workers inherit.  A candidate that cannot be
+    # planned cannot be scored either; only the default is scored
+    # regardless.
+    bounded = parallel_sweep(_bound_point, points, jobs=1, strict=False)
+    result.bound_cost_s = sum(o.wall_s for o in bounded)
+    bounds = {o.index: o.value for o in bounded if o.ok}
+    queue = deque(sorted((bounds[i], i) for i in bounds if i != 0))
+    width = max(1, (os.cpu_count() or 1) if jobs is None else jobs)
 
-    def points(indices: Sequence[int], fidelity: str) -> List[dict]:
-        return [
-            {
-                "cell": cell.to_dict(),
-                "config": candidates[i].to_dict(),
-                "fidelity": fidelity,
-            }
-            for i in indices
-        ]
+    best: Optional[Tuple[float, int]] = None  # (tuned_us, index)
+    wave: List[int] = [0]
+    while True:
+        # Ascending order: once one candidate is bounded out, all later
+        # ones are too.
+        while queue and len(wave) < width and (best is None or queue[0] < best):
+            wave.append(queue.popleft()[1])
+        if not wave:
+            break
+        outcomes = parallel_sweep(
+            _score_point, [points[i] for i in wave], jobs=jobs, strict=False
+        )
+        for index, outcome in zip(wave, outcomes):
+            result.exact_scored += 1
+            result.exact_cost_s += outcome.wall_s
+            if index == 0 and not outcome.ok:
+                result.error = outcome.error
+                return result
+            if index == 0:
+                default_us = outcome.value
+            if outcome.ok and (best is None or (outcome.value, index) < best):
+                best = (outcome.value, index)
+        wave = []
 
-    exact_indices = list(range(len(candidates)))
-    if screen_fidelity is not None:
-        screened = parallel_sweep(
-            _score_point,
-            points(exact_indices, screen_fidelity),
-            jobs=jobs,
-            strict=False,
-        )
-        result.screened = len(screened)
-        result.screen_cost_s = sum(o.wall_s for o in screened)
-        result.collapse_noops = sum(
-            o.value["collapse_noop"] for o in screened if o.ok
-        )
-        # The PR 9 gotcha, surfaced per cell: a no-op collapse means the
-        # screen paid exact cost for those candidates (single micro-batch
-        # plans have nothing to fold).
-        logger.info(
-            "tune-screen-done",
-            cell=cell.label(),
-            screened=len(screened),
-            failures=sum(1 for o in screened if not o.ok),
-            collapse_noops=result.collapse_noops,
-            cost_s=round(result.screen_cost_s, 2),
-        )
-        keep = max(
-            MIN_SURVIVORS,
-            int(math.ceil(len(candidates) * survivor_fraction)),
-        )
-        ranked = _rank(screened)
-        survivors = ranked[:keep]
-        if 0 not in survivors:  # the default always reaches exact scoring
-            survivors.append(0)
-        exact_indices = sorted(survivors)
-
-    exact = parallel_sweep(
-        _score_point, points(exact_indices, "exact"), jobs=jobs, strict=False
-    )
-    result.exact_scored = len(exact)
-    result.exact_cost_s = sum(o.wall_s for o in exact)
-    by_candidate = {
-        exact_indices[o.index]: o for o in exact
-    }
-    default_outcome = by_candidate.get(0)
-    winners = [
-        (o.value["completion_time_us"], index)
-        for index, o in sorted(by_candidate.items())
-        if o.ok
-    ]
-    if not winners or default_outcome is None or not default_outcome.ok:
-        failures = [o.error for o in exact if not o.ok]
-        result.error = failures[0] if failures else "no candidate scored"
-        return result
-    tuned_us, winner_index = min(winners)
+    tuned_us, winner_index = best
+    result.bound_us = bounds.get(winner_index, 0.0)
     result.entry = make_entry(
         collective=cell.collective,
         buffer_bytes=cell.buffer_bytes,
         cluster=cluster,
         config=candidates[winner_index],
         tuned_us=tuned_us,
-        default_us=default_outcome.value["completion_time_us"],
+        default_us=default_us,
         default_algorithm=candidates[0].algorithm,
     )
     result.status = "scored"
@@ -452,10 +404,10 @@ __all__ = [
     "CellResult",
     "DEFAULT_CHUNK_KB_GRID",
     "DEFAULT_MBS_GRID",
-    "DEFAULT_SURVIVOR_FRACTION",
     "DEFAULT_TB_ALLOWANCE_GRID",
     "SCHEDULER_CHOICES",
     "TuneReport",
+    "candidate_points",
     "candidate_space",
     "default_config",
     "tune",

@@ -10,5 +10,7 @@ benchmarks compare against them:
   the rate solver, plus scalar-only and brute-force flow networks and a
   simulator that recomputes schedule metadata per instance;
 * :mod:`tests.oracles.eager` — the eager event discipline, which
-  reposts a flow's completion event on every rate change.
+  reposts a flow's completion event on every rate change;
+* :mod:`tests.oracles.tuning` — exhaustive exact tuning, which simulates
+  every candidate the branch-and-bound tuner may skip.
 """

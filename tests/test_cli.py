@@ -8,6 +8,16 @@ import pytest
 from repro.cli import build_parser, main
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
+RING8 = "examples/algorithms/ring_allreduce_8.rescclang"
+
+
+def assert_one_error_line(capsys, reason):
+    """Stderr holds exactly one ``error:`` line, carrying ``reason``."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    error_lines = [line for line in err.splitlines() if "error:" in line]
+    assert len(error_lines) == 1, err
+    assert reason in error_lines[0], err
 
 
 class TestAlgos:
@@ -47,9 +57,35 @@ class TestVerify:
         assert main(["verify", str(path), "--nodes", "1", "--gpus", "8"]) == 1
         assert "FAILED" in capsys.readouterr().out
 
-    def test_unknown_spec(self):
-        with pytest.raises(SystemExit, match="not a built-in"):
+    def test_unknown_spec(self, capsys):
+        with pytest.raises(SystemExit) as info:
             main(["verify", "does-not-exist"])
+        assert info.value.code == 2
+        assert_one_error_line(capsys, "'does-not-exist' is not a built-in")
+
+
+class TestProgramFile:
+    """Every program-taking subcommand refits the default cluster to a
+    DSL file's rank count."""
+
+    def test_compile_refits_default_cluster(self, capsys):
+        assert main(["compile", RING8]) == 0
+        assert "nodes=1, gpus_per_node=8" in capsys.readouterr().out
+
+    def test_trace_refits_default_cluster(self, capsys):
+        assert main(["trace", RING8, "--buffer-mb", "16", "--mbs", "2",
+                     "--width", "40"]) == 0
+        assert "timeline" in capsys.readouterr().out
+
+    def test_verify_and_export_refit_default_cluster(self, tmp_path, capsys):
+        assert main(["verify", RING8]) == 0
+        out = tmp_path / "ring8.rescclang"
+        assert main(["export", RING8, str(out)]) == 0
+        assert "nRanks=8" in out.read_text()
+
+    def test_explicit_shape_is_not_refit(self, capsys):
+        assert main(["verify", RING8, "--nodes", "1", "--gpus", "4"]) == 1
+        assert "static validation FAILED" in capsys.readouterr().out
 
 
 class TestCompile:
@@ -200,6 +236,21 @@ class TestMalformedCounts:
         assert error_lines[0].endswith(reason)
 
     @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["run", "ring-allreduce", "--tuning-table", "no-such-table.json"],
+             "tuning table not found: no-such-table.json"),
+            (["tune", "--collectives", ","],
+             "need at least one collective and one size"),
+        ],
+    )
+    def test_missing_input_exits_2(self, argv, reason, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert_one_error_line(capsys, reason)
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["compile", "ring-allreduce", "--kernel", "--rank", "99"],
@@ -268,9 +319,19 @@ class TestRunAndCompare:
             == 0
         )
 
-    def test_unknown_backend(self):
-        with pytest.raises(SystemExit, match="unknown backend"):
+    def test_unknown_backend(self, capsys):
+        with pytest.raises(SystemExit) as info:
             main(["run", "hm-allreduce", "--backend", "hccl"])
+        assert info.value.code == 2
+        assert_one_error_line(capsys, "argument --backend: invalid choice: 'hccl'")
+
+    def test_backend_is_case_insensitive(self, capsys):
+        argv = ["run", "ring-allgather", "--nodes", "1", "--gpus", "4",
+                "--buffer-mb", "8", "--mbs", "2", "--backend"]
+        assert main(argv + ["NCCL"]) == 0
+        upper = capsys.readouterr().out
+        assert main(argv + ["nccl"]) == 0
+        assert capsys.readouterr().out == upper
 
     def test_compare_table(self, capsys):
         assert (
@@ -292,6 +353,23 @@ class TestRunAndCompare:
         )
         out = capsys.readouterr().out
         assert "NCCL" in out and "ResCCL" in out and "vs NCCL" in out
+        # No plan beats its physics lower bound.
+        header, _, *rows = out.split("\n\n")[1].splitlines()
+        column = header.index("% of bound")
+        for row in rows[:3]:
+            assert int(row[column:].split("%")[0]) >= 100
+
+    def test_tune_prints_the_winners_bound(self, tmp_path, capsys):
+        argv = ["tune", "--collectives", "allgather", "--sizes-mb", "8",
+                "--nodes", "1", "--gpus", "4", "--schedulers", "hpds",
+                "--jobs", "1", "--table", str(tmp_path / "t.json")]
+        assert main(argv) == 0
+        header, _, row = capsys.readouterr().out.splitlines()[:3]
+        column = header.index("bound ms")
+        assert float(row[column:].split()[0]) > 0
+        assert main(argv) == 0  # skipped: the table stores no bound
+        header, _, row = capsys.readouterr().out.splitlines()[:3]
+        assert row[header.index("bound ms"):].split()[0] == "-"
 
 
 class TestParser:
@@ -459,8 +537,8 @@ class TestTraceCommand:
         }
         assert any(k.startswith("fault:") for k in fault_kinds)
 
-    def test_bad_ranks_spec(self):
-        with pytest.raises(SystemExit, match="--ranks"):
+    def test_bad_ranks_spec(self, capsys):
+        with pytest.raises(SystemExit) as info:
             main(
                 [
                     "trace", "ring-allreduce",
@@ -469,6 +547,8 @@ class TestTraceCommand:
                     "--ranks", "zero,one",
                 ]
             )
+        assert info.value.code == 2
+        assert_one_error_line(capsys, "--ranks wants a comma-separated list")
 
 
 class TestProfileCommand:
@@ -606,7 +686,7 @@ class TestProfileCommand:
 
 
 class TestFaultInjection:
-    RING8 = "examples/algorithms/ring_allreduce_8.rescclang"
+    RING8 = RING8
 
     def test_inject_flap_completes_with_recovery_events(self, capsys):
         assert (

@@ -7,7 +7,6 @@ daemon is tested end-to-end over real HTTP with the stdlib client.
 """
 
 import http.client
-import json
 import os
 import pickle
 import signal

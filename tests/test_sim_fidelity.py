@@ -117,26 +117,29 @@ class TestCollapseNoop:
         program = build_algorithm("mesh-allreduce", cluster)
         return ResCCLBackend(max_microbatches=4).plan(cluster, program, 8 * MB)
 
-    def test_single_microbatch_counts_noop(self, single_mb_plan):
+    def test_single_microbatch_folds_nothing(self, single_mb_plan):
         report = simulate(fast_plan(single_mb_plan))
-        assert report.counters.agg_collapse_noop == 1
         assert report.counters.agg_runs_collapsed == 0
         assert report.counters.agg_collapse_disabled == 0
-        assert "collapse no-op" in report.counters.summary()
+        # No collapse clause: the summary itself says nothing was folded.
+        assert "collapse" not in report.counters.summary()
+        assert report.completion_time_us == simulate(
+            single_mb_plan
+        ).completion_time_us
 
-    def test_noop_emits_metric(self, single_mb_plan):
+    def test_noop_publishes_no_collapsed_runs(self, single_mb_plan):
         with collecting() as registry:
             simulate(fast_plan(single_mb_plan))
-        assert registry.counter("sim_agg_collapse_noop_total").value() == 1
+        assert registry.counter("sim_agg_runs_collapsed_total").value() == 0
 
     def test_real_collapse_is_not_a_noop(self, plan):
         report = simulate(fast_plan(plan))
-        assert report.counters.agg_collapse_noop == 0
         assert report.counters.agg_runs_collapsed > 0
+        assert "collapse:" in report.counters.summary()
 
     def test_exact_run_never_noops(self, single_mb_plan):
         report = simulate(single_mb_plan)
-        assert report.counters.agg_collapse_noop == 0
+        assert report.counters.agg_runs_collapsed == 0
 
 
 class TestCollapseDisabledUnderFaults:

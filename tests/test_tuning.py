@@ -1,10 +1,10 @@
 """The plan autotuner: tables, search, tuned serving (repro.tuning).
 
 Layered like the subsystem: the persistent table's quarantine discipline
-mirrors the plan-cache tests; the tuner's two-stage search is exercised
-on a tiny cell; tuned serving is checked at the backend, the protocol
-executor, and the live daemon (including the fingerprint-mismatch
-startup rejection).
+mirrors the plan-cache tests; the tuner's branch-and-bound search is
+checked against the exhaustive oracle on tiny cells; tuned serving is
+checked at the backend, the protocol executor, and the live daemon
+(including the fingerprint-mismatch startup rejection).
 """
 
 import dataclasses
@@ -27,6 +27,7 @@ from repro.tuning.table import (
     spec_collective,
 )
 from repro.tuning.tuner import Cell, candidate_space, default_config, tune
+from tests.oracles.tuning import exhaustive_tune
 
 #: A cell small enough to tune in well under a second.
 SMALL = Cell(collective="allgather", buffer_mb=8, nodes=1, gpus=4)
@@ -219,8 +220,8 @@ class TestTune:
         (result,) = report.results
         assert result.status == "scored"
         assert result.entry["tuned_us"] <= result.entry["default_us"]
-        assert result.screened == result.candidates
-        assert 0 < result.exact_scored <= result.screened
+        assert 0 < result.exact_scored <= result.candidates
+        assert 0 < result.bound_us <= result.entry["tuned_us"]
         assert result.search_cost_s > 0
 
     def test_resume_skips_tuned_cells_and_keeps_bytes(self, table_path):
@@ -241,24 +242,37 @@ class TestTune:
         tune_small(b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_exact_only_agrees_with_screened_search(self, tmp_path):
-        screened, exact = tmp_path / "s.json", tmp_path / "e.json"
-        tune_small(screened, screen_fidelity="fast")
-        tune_small(exact, screen_fidelity="exact")
-        pick = lambda p: json.loads(p.read_text())["entries"]  # noqa: E731
-        (sw,) = pick(screened).values()
-        (ew,) = pick(exact).values()
-        assert sw["config"] == ew["config"]
-        # Winners are re-scored under exact fidelity either way, so the
-        # recorded times agree too.
-        assert sw["tuned_us"] == ew["tuned_us"]
+    @pytest.mark.parametrize(
+        "cell, grid, jobs",
+        [
+            (SMALL, FAST_GRID, 1),
+            (SMALL, {}, 2),
+            (Cell(collective="allreduce", buffer_mb=8, nodes=2, gpus=4), {}, 1),
+        ],
+        ids=["small-grid", "full-grid-waves-of-2", "2x4-allreduce"],
+    )
+    def test_branch_and_bound_table_matches_exhaustive_oracle(
+        self, tmp_path, cell, grid, jobs
+    ):
+        tuned, reference = tmp_path / "t.json", tmp_path / "e.json"
+        report = tune([cell], tuned, jobs=jobs, **grid)
+        exhaustive_tune([cell], reference, jobs=jobs, **grid)
+        assert tuned.read_bytes() == reference.read_bytes()
+        (result,) = report.results
+        assert result.status == "scored"
+        assert result.bound_us <= result.entry["tuned_us"]
+
+    def test_bound_skips_candidates_that_cannot_win(self, tmp_path):
+        cell = Cell(collective="allreduce", buffer_mb=8, nodes=2, gpus=4)
+        (result,) = tune([cell], tmp_path / "t.json", jobs=1).results
+        assert result.exact_scored < result.candidates
 
     def test_tuner_metrics_published(self, table_path):
         with collecting() as registry:
             tune_small(table_path)
         assert registry.counter("tuning_cells_scored_total").value() == 1
         assert registry.counter(
-            "tuning_candidates_screened_total").value() > 0
+            "tuning_candidates_exact_total").value() > 0
 
 
 # ----------------------------------------------------------------------
