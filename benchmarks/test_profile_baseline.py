@@ -21,7 +21,7 @@ from repro.baselines import MSCCLBackend, NCCLBackend
 from repro.core import ResCCLBackend, ResCCLCompiler
 from repro.ir.task import Collective
 from repro.obs import observe
-from repro.runtime.simulator import simulate
+from repro.runtime.simulator import Simulator
 from repro.topology import Cluster
 
 OUT = Path(__file__).resolve().parent.parent / "BENCH_profile.json"
@@ -50,7 +50,7 @@ def _profile_backends() -> dict:
                 plan = backend.plan(cluster, Collective.ALLREDUCE, BUFFER_BYTES)
             else:
                 plan = backend.plan(cluster, program, BUFFER_BYTES)
-            report = simulate(plan)
+            report = Simulator(plan).run()  # never a report-tier hit
         (plan_span,) = [s for s in obs.tracer.roots if s.name == "plan"]
         out["backends"][backend.name] = {
             "plan_wall_us": plan_span.duration_us,

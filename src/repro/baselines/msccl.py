@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from ..core.plancache import plan_key
 from ..ir.dag import build_dag
 from ..ir.task import TransmissionTask
 from ..lang.builder import AlgoProgram
@@ -119,7 +120,7 @@ class MSCCLBackend:
                     self._emit_rank_stage_tbs(
                         rank, stage_index, stage_tasks, mbs, instance, add_tb
                     )
-        return ExecutionPlan(
+        plan = ExecutionPlan(
             name=f"MSCCL/{program.name}",
             cluster=cluster,
             program=program,
@@ -132,6 +133,16 @@ class MSCCLBackend:
             # one buffer slot per connection, no sender run-ahead.
             config=self.config or SimConfig(fifo_depth=1),
         )
+        # to_source() does not encode the manual stage division.
+        plan.cache_key = plan_key(
+            self.name,
+            repr(self),
+            cluster.fingerprint(),
+            program.to_source(),
+            repr(program.stage_starts),
+            float(buffer_bytes),
+        )
+        return plan
 
     def _emit_rank_stage_tbs(
         self,

@@ -23,8 +23,9 @@ mode (one-time load cost, no per-primitive decode).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..algorithms.ring import (
     ring_allgather,
@@ -32,8 +33,9 @@ from ..algorithms.ring import (
     ring_reducescatter,
 )
 from ..algorithms.tree import double_binary_tree_allreduce
+from ..core.plancache import plan_key
 from ..ir.dag import build_dag
-from ..ir.task import Collective, Transfer
+from ..ir.task import Collective, TransmissionTask, Transfer
 from ..lang.builder import AlgoProgram
 from ..obs.spans import span as obs_span
 from ..runtime.plan import (
@@ -184,20 +186,19 @@ class NCCLBackend:
         # Each channel's ring kernel is a recvCopySend loop: its send and
         # receive directions stream *concurrently*.  The serial-TB runtime
         # models that as two cooperating halves of the one fused TB.
+        # Tasks are bucketed once by (channel, rank), in DAG order.
+        sends_of: Dict[Tuple[int, int], List[TransmissionTask]] = defaultdict(list)
+        recvs_of: Dict[Tuple[int, int], List[TransmissionTask]] = defaultdict(list)
+        for t in dag.tasks:
+            channel = channel_of_task[t.task_id]
+            sends_of[channel, t.src].append(t)
+            recvs_of[channel, t.dst].append(t)
         tb_programs: List[TBProgram] = []
         for rank in range(nranks):
             count = 0
             for channel in range(self.nchannels):
-                sends = [
-                    t
-                    for t in dag.tasks
-                    if channel_of_task[t.task_id] == channel and t.src == rank
-                ]
-                recvs = [
-                    t
-                    for t in dag.tasks
-                    if channel_of_task[t.task_id] == channel and t.dst == rank
-                ]
+                sends = sends_of.get((channel, rank))
+                recvs = recvs_of.get((channel, rank))
                 for tasks, half in ((sends, "send"), (recvs, "recv")):
                     if not tasks:
                         continue
@@ -213,7 +214,7 @@ class NCCLBackend:
                         )
                     )
                     count += 1
-        return ExecutionPlan(
+        plan = ExecutionPlan(
             name=f"NCCL/{base.name}",
             cluster=cluster,
             program=combined,
@@ -227,6 +228,14 @@ class NCCLBackend:
             config=self.config or SimConfig(fifo_depth=1),
             chunks_per_microbatch=chunks_per_mb,
         )
+        plan.cache_key = plan_key(
+            self.name,
+            repr(self),
+            cluster.fingerprint(),
+            collective.value,
+            float(buffer_bytes),
+        )
+        return plan
 
 
 __all__ = ["NCCLBackend", "channel_permutation", "permute_transfers"]

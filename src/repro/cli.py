@@ -49,6 +49,7 @@ from .request import (
     FIELDS,
     SPEC_FORM,
     SYNTHESIZERS,
+    Field,
     RequestError,
     build_cluster,
     resolve_spec,
@@ -67,6 +68,20 @@ _LARGE_CALL = {"buffer_mb": 256.0, "mbs": 16}
 #: ``--backend`` choices, lower case.
 _BACKENDS = {"resccl": ResCCLBackend, "msccl": MSCCLBackend, "nccl": NCCLBackend}
 
+#: The fault knobs in [0, 1], refused at parse time like the request
+#: fields (they are not part of a service request).
+_FAILOVER_FACTOR = Field(
+    "failover_factor", float, 0.25,
+    "capacity retained by dead edges in a fallback/resume cluster; 0 "
+    "means no failover path, so a partitioned topology makes recovery "
+    "impossible (exit code 2)",
+    unit=True,
+)
+_FAULT_INTENSITY = Field(
+    "fault_intensity", float, 1.0,
+    "fraction of the fault schedule to apply", unit=True,
+)
+
 
 def _flag_type(field):
     """argparse type running the field's own check (the service's reason)."""
@@ -80,19 +95,23 @@ def _flag_type(field):
     return parse
 
 
+def _add_flag(parser: argparse.ArgumentParser, field: Field, default) -> None:
+    """Register one field as a ``--flag`` checked by the field itself."""
+    shown = f"{default:g}" if isinstance(default, float) else default
+    parser.add_argument(
+        "--" + field.name.replace("_", "-"),
+        type=_flag_type(field),
+        default=default,
+        metavar="{" + ",".join(field.choices) + "}" if field.choices else None,
+        help=f"{field.help} ({field.bound}; default: {shown})",
+    )
+
+
 def _add_fields(parser: argparse.ArgumentParser, *names: str, **defaults) -> None:
     """Register plan-request fields as flags, with per-subcommand defaults."""
     for name in names:
         field = FIELDS[name]
-        default = defaults.get(name, field.default)
-        shown = f"{default:g}" if isinstance(default, float) else default
-        parser.add_argument(
-            "--" + name.replace("_", "-"),
-            type=_flag_type(field),
-            default=default,
-            metavar="{" + ",".join(field.choices) + "}" if field.choices else None,
-            help=f"{field.help} ({field.bound}; default: {shown})",
-        )
+        _add_flag(parser, field, defaults.get(name, field.default))
 
 
 def _int_at_least(low: int):
@@ -131,12 +150,7 @@ def _add_fault_args(parser: argparse.ArgumentParser) -> None:
         choices=list(POLICY_NAMES),
         help="recovery policy when faults are injected",
     )
-    parser.add_argument(
-        "--failover-factor", type=float, default=0.25,
-        help="capacity retained by dead edges in a fallback/resume "
-        "cluster, in [0, 1]; 0 means no failover path, so a partitioned topology "
-        "makes recovery impossible (exit code 2)",
-    )
+    _add_flag(parser, _FAILOVER_FACTOR, _FAILOVER_FACTOR.default)
 
 
 def _add_cache_args(parser: argparse.ArgumentParser) -> None:
@@ -294,19 +308,16 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def _run_faults(plan, args: argparse.Namespace):
-    """``run_with_faults`` under the fault flags; a refused value exits."""
-    try:
-        return run_with_faults(
-            plan,
-            args.inject,
-            seed=args.seed,
-            intensity=getattr(args, "fault_intensity", 1.0),  # run only
-            recovery=args.recovery,
-            record_trace=True,
-            fallback_capacity_factor=args.failover_factor,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
+    """``run_with_faults`` under the fault flags (checked at parse time)."""
+    return run_with_faults(
+        plan,
+        args.inject,
+        seed=args.seed,
+        intensity=getattr(args, "fault_intensity", 1.0),  # run only
+        recovery=args.recovery,
+        record_trace=True,
+        fallback_capacity_factor=args.failover_factor,
+    )
 
 
 def _print_deadlock(exc: SimulationDeadlock) -> None:
@@ -504,28 +515,28 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         for name in available_experiments():
             print(name)
         return 0
-    if not args.name:
-        raise SystemExit(
-            "error: give an experiment id or --list; known: "
+    from .experiments import REGISTRY
+
+    if args.name not in REGISTRY:
+        given = f"unknown experiment {args.name!r}" if args.name else "no experiment id"
+        raise RequestError(
+            f"{given}; give an experiment id or --list; known: "
             + ", ".join(available_experiments())
         )
     _configure_cache(args)
-    from .experiments import REGISTRY
 
     params = {}
-    runner = REGISTRY.get(args.name)
-    if runner is not None:
-        accepted = inspect.signature(runner).parameters
-        if "seed" in accepted:
-            params["seed"] = args.seed
-        if args.recovery and "policies" in accepted:
-            params["policies"] = tuple(args.recovery)
-        if args.scenario and "scenario" in accepted:
-            params["scenario"] = args.scenario
-        if "jobs" in accepted:
-            params["jobs"] = (
-                args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-            )
+    accepted = inspect.signature(REGISTRY[args.name]).parameters
+    if "seed" in accepted:
+        params["seed"] = args.seed
+    if args.recovery and "policies" in accepted:
+        params["policies"] = tuple(args.recovery)
+    if args.scenario and "scenario" in accepted:
+        params["scenario"] = args.scenario
+    if "jobs" in accepted:
+        params["jobs"] = (
+            args.jobs if args.jobs is not None else (os.cpu_count() or 1)
+        )
     result = run_experiment(args.name, **params)
     print(result.render())
     return 0
@@ -723,8 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fields(p_run, "buffer_mb", "mbs", "sim_fidelity", *_CLUSTER_FIELDS,
                 **_LARGE_CALL)
     _add_fault_args(p_run)
-    p_run.add_argument("--fault-intensity", type=float, default=1.0,
-                       help="fraction of the fault schedule to apply [0,1]")
+    _add_flag(p_run, _FAULT_INTENSITY, _FAULT_INTENSITY.default)
     _add_cache_args(p_run)
     _add_tuning_arg(p_run)
 

@@ -28,7 +28,7 @@ from ..runtime.plan import (
 from ..topology import Cluster
 from .compiler import CompileResult, ResCCLCompiler
 from .kernelgen import lower_to_programs
-from .plancache import get_cache
+from .plancache import get_cache, plan_key
 from .tballoc import allocate_tbs
 
 
@@ -93,6 +93,9 @@ class ResCCLBackend:
         call sets the pipelining allowance of the state-based merge (a
         connection keeps streaming micro-batches past its static window,
         so windows closer than one pipeline depth are not truly disjoint).
+        The plan's ``cache_key`` covers the compile's content hash and
+        every knob the lowering and the run read, so equal calls share
+        one simulation (the plan cache's report tier).
 
         When a tuning table is installed (``resccl tune`` +
         :func:`repro.tuning.configure_tuning`) and covers this
@@ -159,7 +162,8 @@ class ResCCLBackend:
                 tbs=len(tb_programs),
                 tuned=tuned is not None,
             )
-        return ExecutionPlan(
+        config = self.config or SimConfig()
+        plan = ExecutionPlan(
             name=f"ResCCL/{compiled.program.name}",
             cluster=cluster,
             program=compiled.program,
@@ -168,8 +172,20 @@ class ResCCLBackend:
             chunk_bytes=chunk_bytes,
             tb_programs=tb_programs,
             mode=self.mode,
-            config=self.config or SimConfig(),
+            config=config,
         )
+        if compiled.cache_key:
+            plan.cache_key = plan_key(
+                self.name,
+                compiled.cache_key,
+                n_mb,
+                chunk_bytes,
+                effective_allowance,
+                self.nwarps,
+                self.mode.value,
+                repr(config),
+            )
+        return plan
 
     def _tuned_lookup(self, program, cluster: Cluster, buffer_bytes: float):
         """The tuned (program, knobs) for this call, or ``None``.

@@ -31,10 +31,21 @@ executions:
   different scheduler (the Figure 10(b) HPDS-vs-RR sweeps) reuses
   parsing and analysis.  The replan path bypasses the cache: it
   schedules an already-built residual DAG, so it never re-parses.
+* **Report tier** — :attr:`ExecutionPlan.cache_key` (stamped by every
+  backend through :func:`plan_key`) → a compact
+  :class:`~repro.runtime.metrics.ReportSnapshot` of the plan's
+  simulation, so a training loop that issues the same collective call
+  every iteration simulates it once (section 4.5: compile once, then
+  only re-run).  :func:`~repro.runtime.simulate` consults it only for
+  a keyed plan with no fault injector, recovery policy, background
+  traffic or trace; every hit rebuilds a fresh report.  The tier also
+  remembers which keys passed :meth:`ExecutionPlan.validate`, so a
+  keyed plan is validated once per process.
 
 Hits and misses are published to the ambient metrics registry
-(``compile_cache_{hits,misses}_total``) and tracked on
-:class:`CacheStats` for the benchmarks and ``resccl profile``.
+(``compile_cache_{hits,misses}_total``, ``sim_report_cache_hits_total``)
+and tracked on :class:`CacheStats` for the benchmarks and ``resccl
+profile``.  Every tier shares the LRU capacity and :meth:`PlanCache.clear`.
 """
 
 from __future__ import annotations
@@ -66,6 +77,18 @@ CACHE_FORMAT_VERSION = 3
 DEFAULT_CAPACITY = 128
 
 
+def plan_key(backend: str, *parts: object) -> str:
+    """Provenance key of one built plan (:attr:`ExecutionPlan.cache_key`).
+
+    ``parts`` must cover every input the backend's plan construction
+    reads.  Each is rendered with ``str``, which is exact for numbers;
+    callers pass the ``repr`` of anything richer (a backend, a config).
+    """
+    return PlanCache._digest(
+        f"v{CACHE_FORMAT_VERSION}", "plan", backend, *map(str, parts)
+    )
+
+
 def default_cache_dir() -> Path:
     """``$XDG_CACHE_HOME/resccl`` (or ``~/.cache/resccl``)."""
     base = os.environ.get("XDG_CACHE_HOME")
@@ -84,6 +107,8 @@ class CacheStats:
     disk_writes: int = 0
     disk_corrupt: int = 0
     lowered_hits: int = 0
+    report_hits: int = 0
+    report_misses: int = 0
 
     @property
     def lookups(self) -> int:
@@ -101,7 +126,9 @@ class CacheStats:
             f"plan cache: {self.hits}/{self.lookups} hit(s) "
             f"({self.hit_rate:.1%}; {self.disk_hits} from disk, "
             f"{self.frontend_hits} front-end reuse(s), "
-            f"{self.disk_writes} disk write(s))"
+            f"{self.disk_writes} disk write(s)); "
+            f"report tier: {self.report_hits} hit(s), "
+            f"{self.report_misses} miss(es)"
         )
         if self.disk_corrupt:
             text += f" [{self.disk_corrupt} corrupt entr(ies) quarantined]"
@@ -128,6 +155,8 @@ class PlanCache:
         self._memo: "OrderedDict[str, object]" = OrderedDict()
         self._frontend: "OrderedDict[str, Tuple[object, object]]" = OrderedDict()
         self._lowered: "OrderedDict[Tuple, object]" = OrderedDict()
+        self._reports: "OrderedDict[str, object]" = OrderedDict()
+        self._validated: "OrderedDict[str, None]" = OrderedDict()
         self.stats = CacheStats()
 
     # -- keying ---------------------------------------------------------
@@ -237,11 +266,54 @@ class PlanCache:
             self._lowered.popitem(last=False)
         return value
 
+    def report_snapshot(self, key: str):
+        """The stored simulation snapshot of plan ``key`` (a hit), or
+        ``None`` (a miss)."""
+        snapshot = self._reports.get(key)
+        if snapshot is None:
+            self.stats.report_misses += 1
+            return None
+        self._reports.move_to_end(key)
+        self.stats.report_hits += 1
+        registry = current_registry()
+        if registry is not None:
+            registry.inc("sim_report_cache_hits_total")
+        return snapshot
+
+    def store_report(self, key: str, snapshot) -> None:
+        """Keep the simulation snapshot of plan ``key`` (LRU-bounded)."""
+        self._put(self._reports, key, snapshot)
+
+    def validate(self, plan) -> None:
+        """``plan.validate()``, once per keyed plan.
+
+        A plan whose :attr:`~repro.runtime.plan.ExecutionPlan.cache_key`
+        already validated is not re-checked; an unkeyed plan is checked
+        on every call.
+        """
+        key = plan.cache_key
+        if key and key in self._validated:
+            self._validated.move_to_end(key)
+            return
+        plan.validate()
+        if key:
+            self._put(self._validated, key, None)
+
+    def _put(self, tier: OrderedDict, key, value) -> None:
+        if self.capacity <= 0:
+            return
+        tier[key] = value
+        tier.move_to_end(key)
+        while len(tier) > self.capacity:
+            tier.popitem(last=False)
+
     def clear(self) -> None:
         """Drop the in-process tiers and reset the statistics."""
         self._memo.clear()
         self._frontend.clear()
         self._lowered.clear()
+        self._reports.clear()
+        self._validated.clear()
         self.stats = CacheStats()
 
     def __len__(self) -> int:
@@ -437,4 +509,5 @@ __all__ = [
     "configure",
     "default_cache_dir",
     "get_cache",
+    "plan_key",
 ]

@@ -29,7 +29,7 @@ Policies are pluggable: the simulator only calls ``bind`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..algorithms.ring import (
@@ -585,8 +585,12 @@ class ResilientRunner:
         backend = MSCCLBackend(
             max_microbatches=max(1, self.plan.n_microbatches)
         )
-        fallback_plan = backend.plan(degraded, ring, self.plan.total_bytes)
-        fallback_plan.name = f"{self.plan.name}+ring-fallback"
+        # Renamed through replace(), so the plan drops the backend's
+        # provenance key along with its name.
+        fallback_plan = replace(
+            backend.plan(degraded, ring, self.plan.total_bytes),
+            name=f"{self.plan.name}+ring-fallback",
+        )
         report = Simulator(
             fallback_plan,
             background_traffic=self.background_traffic,

@@ -46,6 +46,7 @@ class Field:
     default: object
     help: str
     positive: bool = False  # numbers: finite and above zero
+    unit: bool = False  # numbers: in [0, 1]
     choices: Tuple[str, ...] = ()  # strings: the accepted values
     #: Strings: checks the value in place of ``choices``; the text of
     #: the ``ValueError`` it raises is the reason.
@@ -56,6 +57,8 @@ class Field:
         """The accepted values, as ``--help`` and the docs state them."""
         if self.positive:
             return f"positive {self.kind.__name__}"
+        if self.unit:
+            return f"{self.kind.__name__} in [0, 1]"
         return " or ".join(self.choices)
 
     def check(self, value):
@@ -95,6 +98,9 @@ class Field:
             raise RequestError(f"must be finite, got {value!r}")
         if self.positive and value <= 0:
             raise RequestError(f"must be positive, got {value!r}")
+        # Written so that NaN fails it too.
+        if self.unit and not 0.0 <= value <= 1.0:
+            raise RequestError(f"must be in [0, 1], got {value!r}")
         return value
 
     def from_text(self, text: str):

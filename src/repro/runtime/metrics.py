@@ -14,7 +14,10 @@ The report captures exactly the quantities the paper's evaluation tracks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, field, fields
+from itertools import repeat
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from .plan import ExecMode
@@ -349,7 +352,90 @@ class SimReport:
         )
 
 
+#: Array typecodes of the numeric field types a snapshot packs.
+_TYPECODES = {"float": "d", "int": "q"}
+
+
+def _pack(rows, cls) -> tuple:
+    """``rows`` (flat ``cls`` instances) as one column per field: an
+    ``array`` for a float or int field, a tuple of the values otherwise.
+    Columns hold no per-row object, so packing a large report adds
+    nothing for the garbage collector to trace."""
+    return tuple(
+        array(_TYPECODES[f.type], map(attrgetter(f.name), rows))
+        if f.type in _TYPECODES
+        else tuple(map(attrgetter(f.name), rows))
+        for f in fields(cls)
+    )
+
+
+def _unpack(columns: tuple, cls) -> list:
+    return [cls(*row) for row in zip(*columns)]
+
+
+_COUNTER_ROW = attrgetter(*(f.name for f in fields(SimCounters)))
+
+
+@dataclass(frozen=True)
+class ReportSnapshot:
+    """A compact, immutable copy of a fault-free, untraced report.
+
+    What the plan cache's report tier stores in place of the report:
+    the completion order as one packed array of instance indices
+    (``task * n_microbatches + mb``), the TB and link stats as
+    field-wise columns (:func:`_pack`) and the counters as a tuple.
+    :meth:`rebuild` returns a fresh :class:`SimReport` equal to the
+    original on every call, so a caller that mutates its report cannot
+    change the next one.  A report with a trace, link samples or fault
+    stats is not snapshotted: the tier never sees one.
+    """
+
+    plan_name: str
+    mode: ExecMode
+    completion_time_us: float
+    total_bytes: float
+    n_microbatches: int
+    completion_order: array
+    tb_stats: tuple
+    link_stats: tuple
+    counters: tuple
+
+    @classmethod
+    def of(cls, report: SimReport, n_microbatches: int) -> "ReportSnapshot":
+        n_mb = n_microbatches
+        order = [task * n_mb + mb for task, mb in report.completion_order]
+        return cls(
+            plan_name=report.plan_name,
+            mode=report.mode,
+            completion_time_us=report.completion_time_us,
+            total_bytes=report.total_bytes,
+            n_microbatches=n_mb,
+            completion_order=array(
+                "I" if max(order, default=0) < 1 << 32 else "Q", order
+            ),
+            tb_stats=_pack(report.tb_stats, TBStats),
+            link_stats=_pack(report.link_stats.values(), LinkStats),
+            counters=_COUNTER_ROW(report.counters),
+        )
+
+    def rebuild(self) -> SimReport:
+        """A fresh report equal to the one snapshotted."""
+        return SimReport(
+            plan_name=self.plan_name,
+            mode=self.mode,
+            completion_time_us=self.completion_time_us,
+            total_bytes=self.total_bytes,
+            tb_stats=_unpack(self.tb_stats, TBStats),
+            link_stats={ls.link: ls for ls in _unpack(self.link_stats, LinkStats)},
+            completion_order=list(
+                map(divmod, self.completion_order, repeat(self.n_microbatches))
+            ),
+            counters=SimCounters(*self.counters),
+        )
+
+
 __all__ = [
+    "ReportSnapshot",
     "TBStats",
     "LinkStats",
     "SimCounters",

@@ -199,6 +199,15 @@ class ExecutionPlan:
     normally the program's chunk count, but backends that slice data
     across parallel channel instances (NCCL) extend it to
     ``nchannels * nchunks``.
+
+    ``cache_key`` is the plan's provenance: a content hash of every input
+    the building backend read, stamped by that backend.  Two plans with
+    the same key execute identically, so :func:`~repro.runtime.simulate`
+    runs each keyed plan once per process (the report tier of
+    :mod:`repro.core.plancache`).  The key is not an ``__init__``
+    argument: plans made by hand or by :func:`dataclasses.replace`
+    (``with_fidelity("fast")`` included) carry ``""`` and are simulated
+    on every call.  A keyed plan must not be altered in place.
     """
 
     name: str
@@ -211,6 +220,7 @@ class ExecutionPlan:
     mode: ExecMode = ExecMode.KERNEL
     config: SimConfig = field(default_factory=SimConfig)
     chunks_per_microbatch: int = 0
+    cache_key: str = field(default="", init=False)
 
     def __post_init__(self) -> None:
         if self.chunks_per_microbatch <= 0:

@@ -40,6 +40,7 @@ import itertools
 from collections import defaultdict, deque
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
+from ..core.plancache import get_cache
 from ..ir.task import CommType
 from ..obs.metrics import current_registry
 from ..obs.spans import span as obs_span
@@ -50,6 +51,7 @@ from .flows import Flow, FlowNetwork
 from .metrics import (
     FaultStats,
     LinkStats,
+    ReportSnapshot,
     SimCounters,
     SimReport,
     TBStats,
@@ -158,8 +160,13 @@ class Simulator:
                 primary attempt stalled, so its completion time — and
                 every trace/fault timestamp — is already in global run
                 time and stitches directly onto the checkpoint.
+
+        The plan is validated first: once per process for a keyed plan
+        (:meth:`repro.core.plancache.PlanCache.validate`), on every
+        construction otherwise.  The run itself is never cached;
+        :func:`simulate` owns the report tier.
         """
-        plan.validate()
+        get_cache().validate(plan)
         self.plan = plan
         self.cluster = plan.cluster
         self.config = plan.config
@@ -1047,60 +1054,17 @@ class Simulator:
         counters.queue_depth_max = queue.depth_max
 
     def _publish_metrics(self) -> None:
-        """Publish this run to the armed registry, once.
-
-        The only registry calls the simulator makes.  Every series is
-        read from the run's own plain counters — ``SimCounters``, the
-        ``TBStats``, the ``LinkStats`` and the ``FaultStats`` — and the
-        per-link detail is summed per fabric tier, so the series count
-        does not depend on the fabric size.  Per-link numbers stay in
-        ``SimReport.link_stats``.
-        """
-        registry = self._metrics
-        counters = self.counters
-        registry.set("sim_completion_time_us", self._completion_time())
-        for name, value in (
-            ("sim_events_posted_total", counters.events_posted),
-            ("sim_events_popped_total", counters.events_popped),
-            ("sim_stale_events_skipped_total", counters.stale_events_skipped),
-            ("sim_flows_started_total", counters.flows_admitted),
-            ("sim_credit_stalls_total", counters.credit_stalls),
-            ("sim_watchdog_stalls_total", self.stalls_detected),
-            ("sim_edge_shares_computed_total", counters.shares_computed),
-            ("sim_agg_runs_collapsed_total", counters.agg_runs_collapsed),
-            ("sim_agg_instances_expanded_total",
-             counters.agg_instances_expanded),
-            ("net_reallocations_total", counters.reallocations),
-            ("net_rate_changes_total", counters.rate_updates),
-        ):
-            registry.inc(name, value)
-        registry.set("sim_queue_depth_max", counters.queue_depth_max)
-        stats = [tb.stats for tb in self.tbs]
-        registry.inc(
-            "sim_wait_us_total", sum(s.data_wait for s in stats), kind="data"
+        """Publish this run to the armed registry, once (see
+        :func:`publish_run`)."""
+        publish_run(
+            self._metrics,
+            self._completion_time(),
+            self.counters,
+            [tb.stats for tb in self.tbs],
+            self._link_stats.values(),
+            self.stalls_detected,
+            self.fault_stats,
         )
-        registry.inc(
-            "sim_wait_us_total", sum(s.sync_wait for s in stats), kind="sync"
-        )
-        busy = dict.fromkeys(TIERS, 0.0)
-        moved = dict.fromkeys(TIERS, 0.0)
-        for link, link_stats in self._link_stats.items():
-            tier = tier_of(link)
-            busy[tier] += link_stats.busy_time
-            moved[tier] += link_stats.bytes_moved
-        for tier in TIERS:
-            registry.set("sim_link_busy_us", busy[tier], tier=tier)
-            registry.inc("sim_link_bytes_total", moved[tier], tier=tier)
-        faults = self.fault_stats
-        if faults is not None:
-            for tier in TIERS:
-                registry.inc(
-                    "net_capacity_derates_total",
-                    faults.capacity_changes.get(tier, 0),
-                    tier=tier,
-                )
-            for kind, count in faults.events.items():
-                registry.inc("sim_fault_events_total", count, kind=kind)
 
     def _report(self) -> SimReport:
         trace = self._trace
@@ -1183,6 +1147,68 @@ class Simulator:
         return lines
 
 
+def publish_run(
+    registry,
+    completion_time_us: float,
+    counters: SimCounters,
+    tb_stats: List[TBStats],
+    link_stats,
+    stalls_detected: int = 0,
+    fault_stats: Optional[FaultStats] = None,
+) -> None:
+    """Publish one run's ``sim_*``/``net_*`` series to ``registry``.
+
+    The only registry calls the simulator makes.  Every series is read
+    from the run's own plain counters — ``SimCounters``, the
+    ``TBStats``, the ``LinkStats`` and the ``FaultStats`` — and the
+    per-link detail is summed per fabric tier, so the series count does
+    not depend on the fabric size.  Per-link numbers stay in
+    ``SimReport.link_stats``.  A report-tier hit publishes the report it
+    returns through the same function.
+    """
+    registry.set("sim_completion_time_us", completion_time_us)
+    for name, value in (
+        ("sim_events_posted_total", counters.events_posted),
+        ("sim_events_popped_total", counters.events_popped),
+        ("sim_stale_events_skipped_total", counters.stale_events_skipped),
+        ("sim_flows_started_total", counters.flows_admitted),
+        ("sim_credit_stalls_total", counters.credit_stalls),
+        ("sim_watchdog_stalls_total", stalls_detected),
+        ("sim_edge_shares_computed_total", counters.shares_computed),
+        ("sim_agg_runs_collapsed_total", counters.agg_runs_collapsed),
+        ("sim_agg_instances_expanded_total",
+         counters.agg_instances_expanded),
+        ("net_reallocations_total", counters.reallocations),
+        ("net_rate_changes_total", counters.rate_updates),
+    ):
+        registry.inc(name, value)
+    registry.set("sim_queue_depth_max", counters.queue_depth_max)
+    registry.inc(
+        "sim_wait_us_total", sum(s.data_wait for s in tb_stats), kind="data"
+    )
+    registry.inc(
+        "sim_wait_us_total", sum(s.sync_wait for s in tb_stats), kind="sync"
+    )
+    busy = dict.fromkeys(TIERS, 0.0)
+    moved = dict.fromkeys(TIERS, 0.0)
+    for stats in link_stats:
+        tier = tier_of(stats.link)
+        busy[tier] += stats.busy_time
+        moved[tier] += stats.bytes_moved
+    for tier in TIERS:
+        registry.set("sim_link_busy_us", busy[tier], tier=tier)
+        registry.inc("sim_link_bytes_total", moved[tier], tier=tier)
+    if fault_stats is not None:
+        for tier in TIERS:
+            registry.inc(
+                "net_capacity_derates_total",
+                fault_stats.capacity_changes.get(tier, 0),
+                tier=tier,
+            )
+        for kind, count in fault_stats.events.items():
+            registry.inc("sim_fault_events_total", count, kind=kind)
+
+
 def simulate(
     plan: ExecutionPlan,
     background_traffic: Optional[List[Tuple[Tuple[str, ...], float]]] = None,
@@ -1191,6 +1217,15 @@ def simulate(
     recovery=None,
 ) -> SimReport:
     """Convenience wrapper: build a simulator, run it, return the report.
+
+    A keyed plan (:attr:`ExecutionPlan.cache_key`) run with no fault
+    injector, recovery policy, background traffic or trace is simulated
+    once per process: the plan cache's report tier keeps a compact
+    :class:`ReportSnapshot` of the first run and answers every later
+    call with a fresh report rebuilt from it.  A hit still opens the
+    ``simulate`` span (attribute ``cached="true"``) and publishes the
+    ``sim_*``/``net_*`` series of the report it returns.  Every other
+    call, and every call with the cache disabled, runs the simulator.
 
     When the plan's config enables fast-fidelity micro-batch collapse,
     each uniform micro-batch run is folded into one representative
@@ -1203,33 +1238,37 @@ def simulate(
     plan has nothing to fold: ``counters.agg_runs_collapsed`` stays 0 and
     the counters' summary carries no collapse clause.
     """
-    collapsed = None
-    collapse_disabled = False
-    if plan.config.collapse_microbatches:
-        if injector is not None or recovery is not None or background_traffic:
-            collapse_disabled = True
+    cache = get_cache()
+    tiered = (
+        plan.cache_key
+        and cache.capacity > 0
+        and injector is None
+        and recovery is None
+        and not background_traffic
+        and not record_trace
+    )
+    snapshot = cache.report_snapshot(plan.cache_key) if tiered else None
+    with obs_span(
+        "simulate", plan=plan.name, cached="true" if snapshot else "false"
+    ) as sp:
+        if snapshot is not None:
+            report = snapshot.rebuild()
+            registry = current_registry()
+            if registry is not None:
+                publish_run(
+                    registry,
+                    report.completion_time_us,
+                    report.counters,
+                    report.tb_stats,
+                    report.link_stats.values(),
+                )
         else:
-            collapsed = collapse_microbatch_runs(plan)
-    with obs_span("simulate", plan=plan.name) as sp:
-        sim = Simulator(
-            collapsed.plan if collapsed is not None else plan,
-            background_traffic=background_traffic,
-            record_trace=record_trace,
-            injector=injector,
-            recovery=recovery,
-        )
-        # The collapse outcome is known before the run, so it lands in
-        # the counters the run publishes.
-        counters = sim.counters
-        counters.agg_collapse_disabled = int(collapse_disabled)
-        if collapsed is not None:
-            counters.agg_runs_collapsed = collapsed.runs_collapsed
-            counters.agg_instances_expanded = collapsed.runs_collapsed * (
-                collapsed.n_microbatches - 1
-            )
-        report = sim.run()
-        if collapsed is not None:
-            report = expand_report(report, collapsed)
+            report = _run(plan, background_traffic, record_trace, injector, recovery)
+            if tiered:
+                cache.store_report(
+                    plan.cache_key,
+                    ReportSnapshot.of(report, plan.n_microbatches),
+                )
         sp.set(
             completion_time_us=report.completion_time_us,
             tbs=report.tb_count(),
@@ -1238,4 +1277,41 @@ def simulate(
     return report
 
 
-__all__ = ["Simulator", "SimulationDeadlock", "SimulationStall", "simulate"]
+def _run(plan, background_traffic, record_trace, injector, recovery) -> SimReport:
+    """One simulation of ``plan``, collapsed when its config asks."""
+    collapsed = None
+    collapse_disabled = False
+    if plan.config.collapse_microbatches:
+        if injector is not None or recovery is not None or background_traffic:
+            collapse_disabled = True
+        else:
+            collapsed = collapse_microbatch_runs(plan)
+    sim = Simulator(
+        collapsed.plan if collapsed is not None else plan,
+        background_traffic=background_traffic,
+        record_trace=record_trace,
+        injector=injector,
+        recovery=recovery,
+    )
+    # The collapse outcome is known before the run, so it lands in the
+    # counters the run publishes.
+    counters = sim.counters
+    counters.agg_collapse_disabled = int(collapse_disabled)
+    if collapsed is not None:
+        counters.agg_runs_collapsed = collapsed.runs_collapsed
+        counters.agg_instances_expanded = collapsed.runs_collapsed * (
+            collapsed.n_microbatches - 1
+        )
+    report = sim.run()
+    if collapsed is not None:
+        report = expand_report(report, collapsed)
+    return report
+
+
+__all__ = [
+    "Simulator",
+    "SimulationDeadlock",
+    "SimulationStall",
+    "publish_run",
+    "simulate",
+]

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import argparse
+import re
 from pathlib import Path
 
 import pytest
@@ -183,10 +184,16 @@ class TestMalformedCounts:
             ["--inject", "link-kill", "--failover-factor", "-3"],
         ],
     )
-    def test_fault_knob_outside_unit_interval_is_an_error(self, flags):
-        with pytest.raises(SystemExit, match=r"error: .* must be in \[0, 1\]"):
+    def test_fault_knob_outside_unit_interval_is_an_error(self, flags, capsys):
+        with pytest.raises(SystemExit) as info:
             main(["run", "ring-allreduce", "--nodes", "1", "--gpus", "4",
                   "--buffer-mb", "8", "--mbs", "2", *flags])
+        assert info.value.code == 2
+        (error,) = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "error:" in line
+        ]
+        assert re.search(r"error: argument --[a-z-]+: must be in \[0, 1\]", error)
 
     @pytest.mark.parametrize("sizes", ["-4", "16,nan", "16,x"])
     def test_tune_sizes_take_the_buffer_mb_bound(self, sizes, tmp_path, capsys):
@@ -445,9 +452,22 @@ class TestExperimentCommand:
         out = capsys.readouterr().out
         assert "fig6" in out and "table3" in out
 
-    def test_requires_name(self):
-        with pytest.raises(SystemExit, match="experiment id"):
+    def test_requires_name(self, capsys):
+        with pytest.raises(SystemExit) as info:
             main(["experiment"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no experiment id")
+        assert len(err.splitlines()) == 1
+
+    def test_unknown_name_exits_2(self, capsys):
+        # Used to end in a ValueError traceback from run_experiment.
+        with pytest.raises(SystemExit) as info:
+            main(["experiment", "nope"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown experiment 'nope'")
+        assert len(err.splitlines()) == 1
 
     def test_runs_fig4(self, capsys):
         assert main(["experiment", "fig4"]) == 0

@@ -588,6 +588,14 @@ class TestDaemonHTTP:
             first["result"]["completion_time_us"]
         )
 
+    def test_replies_share_their_keys(self, client):
+        # A load generator keeps every reply; each key is stored once.
+        first = client.simulate(**FAST)
+        second = client.simulate(**FAST)
+        for a, b in ((first, second), (first["result"], second["result"])):
+            assert list(a) == list(b)
+            assert all(x is y for x, y in zip(a, b))
+
     def test_compile_and_profile_endpoints(self, client):
         compiled = client.compile(**FAST)
         assert compiled["result"]["tb_count"] > 0
