@@ -28,6 +28,10 @@ from ..runtime.plan import Invocation, Side
 #: (rank, side, peer) — the connection-endpoint a task occupies.
 Endpoint = Tuple[int, Side, int]
 
+#: (rank, label, tasks) — one baseline TB as its plan structure fixes it,
+#: before micro-batches are laid out.
+TBGroup = Tuple[int, str, List[TransmissionTask]]
+
 
 def endpoint_of(task: TransmissionTask, side: Side) -> Endpoint:
     """The connection endpoint executing one side of a task."""
@@ -125,6 +129,7 @@ def tasks_by_stage(
 
 __all__ = [
     "Endpoint",
+    "TBGroup",
     "endpoint_of",
     "group_by_endpoint",
     "algorithm_level_order",

@@ -22,11 +22,12 @@ Models Microsoft's MSCCL as the paper characterizes it (sections 2.1-2.2):
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from ..core.plancache import plan_key
-from ..ir.dag import build_dag
+from ..core.plancache import get_cache, plan_key
+from ..ir.dag import DependencyDAG, build_dag
 from ..ir.task import TransmissionTask
 from ..lang.builder import AlgoProgram
 from ..obs.spans import span as obs_span
@@ -38,7 +39,12 @@ from ..runtime.plan import (
     plan_microbatches,
 )
 from ..topology import Cluster
-from .common import algorithm_level_order, stripe_microbatches, tasks_by_stage
+from .common import (
+    TBGroup,
+    algorithm_level_order,
+    stripe_microbatches,
+    tasks_by_stage,
+)
 
 
 @dataclass
@@ -86,40 +92,29 @@ class MSCCLBackend:
                 f"algorithm is for {program.nranks} ranks, cluster has "
                 f"{cluster.world_size}"
             )
-        dag = build_dag(program.transfers, cluster)
+        # Structure once per (fabric, program), TB programs once per
+        # micro-batch count, as for NCCL.  to_source() does not encode
+        # the manual stage division, so both keys add the stages.
+        cache = get_cache()
+        fingerprint = cluster.fingerprint()
+        source = program.to_source()
+        stages = repr(program.stage_starts)
+        structure_key = plan_key(
+            self.name, "structure", fingerprint, source, stages
+        )
+        dag, stage_groups = cache.lowered(
+            structure_key, build=lambda: self._build(cluster, program)
+        )
         n_mb, chunk_bytes = plan_microbatches(
             buffer_bytes, program.nchunks, max_microbatches=self.max_microbatches
         )
-        instance_mbs = stripe_microbatches(n_mb, self.instances)
-        stages = tasks_by_stage(dag, program.stage_starts)
-
-        tb_programs: List[TBProgram] = []
-        per_rank_count = [0] * cluster.world_size
-
-        def add_tb(rank: int, invocations, label: str) -> None:
-            if not invocations:
-                return
-            tb_programs.append(
-                TBProgram(
-                    rank=rank,
-                    tb_index=per_rank_count[rank],
-                    invocations=invocations,
-                    nwarps=self.nwarps,
-                    label=label,
-                )
-            )
-            per_rank_count[rank] += 1
-
-        for instance, mbs in enumerate(instance_mbs):
-            if not mbs:
-                continue
-            for stage_index, stage_tasks in enumerate(stages):
-                if not stage_tasks:
-                    continue
-                for rank in range(cluster.world_size):
-                    self._emit_rank_stage_tbs(
-                        rank, stage_index, stage_tasks, mbs, instance, add_tb
-                    )
+        tb_programs = cache.lowered(
+            structure_key,
+            n_mb,
+            self.nwarps,
+            self.instances,
+            build=lambda: self._lower(stage_groups, n_mb),
+        )
         plan = ExecutionPlan(
             name=f"MSCCL/{program.name}",
             cluster=cluster,
@@ -133,56 +128,81 @@ class MSCCLBackend:
             # one buffer slot per connection, no sender run-ahead.
             config=self.config or SimConfig(fifo_depth=1),
         )
-        # to_source() does not encode the manual stage division.
         plan.cache_key = plan_key(
             self.name,
             repr(self),
-            cluster.fingerprint(),
-            program.to_source(),
-            repr(program.stage_starts),
+            fingerprint,
+            source,
+            stages,
             float(buffer_bytes),
         )
         return plan
 
-    def _emit_rank_stage_tbs(
-        self,
+    def _build(
+        self, cluster: Cluster, program: AlgoProgram
+    ) -> Tuple[DependencyDAG, List[List[TBGroup]]]:
+        """The program's DAG and, per stage, its connection-based TB
+        groups (label suffixes) in TB order."""
+        dag = build_dag(program.transfers, cluster)
+        stage_groups: List[List[TBGroup]] = []
+        for stage_tasks in tasks_by_stage(dag, program.stage_starts):
+            sends_of: Dict[int, List[TransmissionTask]] = defaultdict(list)
+            recvs_of: Dict[int, List[TransmissionTask]] = defaultdict(list)
+            for t in stage_tasks:
+                sends_of[t.src].append(t)
+                recvs_of[t.dst].append(t)
+            groups: List[TBGroup] = []
+            for rank in range(cluster.world_size):
+                groups.extend(
+                    self._rank_stage_groups(
+                        rank, sends_of.get(rank, []), recvs_of.get(rank, [])
+                    )
+                )
+            stage_groups.append(groups)
+        return dag, stage_groups
+
+    @staticmethod
+    def _rank_stage_groups(
         rank: int,
-        stage_index: int,
-        stage_tasks: List[TransmissionTask],
-        mbs: List[int],
-        instance: int,
-        add_tb,
-    ) -> None:
+        sends: List[TransmissionTask],
+        recvs: List[TransmissionTask],
+    ) -> List[TBGroup]:
         """Connection-based TBs for one rank within one stage."""
-        sends = [t for t in stage_tasks if t.src == rank]
-        recvs = [t for t in stage_tasks if t.dst == rank]
         if not sends and not recvs:
-            return
+            return []
         send_peers = sorted({t.dst for t in sends})
         recv_peers = sorted({t.src for t in recvs})
-        label = f"msccl:i{instance}:s{stage_index}"
         if len(send_peers) == 1 and len(recv_peers) == 1:
             # Ring pattern: one fused TB drives both connection endpoints.
-            add_tb(
-                rank,
-                algorithm_level_order(sends + recvs, rank, mbs),
-                f"{label}:ring",
-            )
-            return
-        for peer in send_peers:
-            peer_tasks = [t for t in sends if t.dst == peer]
-            add_tb(
-                rank,
-                algorithm_level_order(peer_tasks, rank, mbs),
-                f"{label}:send->r{peer}",
-            )
-        for peer in recv_peers:
-            peer_tasks = [t for t in recvs if t.src == peer]
-            add_tb(
-                rank,
-                algorithm_level_order(peer_tasks, rank, mbs),
-                f"{label}:recv<-r{peer}",
-            )
+            return [(rank, "ring", sends + recvs)]
+        return [
+            (rank, f"send->r{peer}", [t for t in sends if t.dst == peer])
+            for peer in send_peers
+        ] + [
+            (rank, f"recv<-r{peer}", [t for t in recvs if t.src == peer])
+            for peer in recv_peers
+        ]
+
+    def _lower(
+        self, stage_groups: List[List[TBGroup]], n_mb: int
+    ) -> List[TBProgram]:
+        """Every instance runs every stage's groups on its micro-batches."""
+        tb_programs: List[TBProgram] = []
+        count: Dict[int, int] = defaultdict(int)
+        for instance, mbs in enumerate(stripe_microbatches(n_mb, self.instances)):
+            for stage_index, groups in enumerate(stage_groups):
+                for rank, suffix, tasks in groups:
+                    tb_programs.append(
+                        TBProgram(
+                            rank=rank,
+                            tb_index=count[rank],
+                            invocations=algorithm_level_order(tasks, rank, mbs),
+                            nwarps=self.nwarps,
+                            label=f"msccl:i{instance}:s{stage_index}:{suffix}",
+                        )
+                    )
+                    count[rank] += 1
+        return tb_programs
 
 
 __all__ = ["MSCCLBackend"]

@@ -33,8 +33,8 @@ from ..algorithms.ring import (
     ring_reducescatter,
 )
 from ..algorithms.tree import double_binary_tree_allreduce
-from ..core.plancache import plan_key
-from ..ir.dag import build_dag
+from ..core.plancache import get_cache, plan_key
+from ..ir.dag import DependencyDAG, build_dag
 from ..ir.task import Collective, TransmissionTask, Transfer
 from ..lang.builder import AlgoProgram
 from ..obs.spans import span as obs_span
@@ -46,7 +46,7 @@ from ..runtime.plan import (
     plan_microbatches,
 )
 from ..topology import Cluster
-from .common import algorithm_level_order
+from .common import TBGroup, algorithm_level_order
 
 
 def channel_permutation(cluster: Cluster, channel: int) -> List[int]:
@@ -160,6 +160,61 @@ class NCCLBackend:
         collective: Collective,
         buffer_bytes: float,
     ) -> ExecutionPlan:
+        # The structure depends on the call's shape, the TB programs
+        # also on its micro-batch count; neither on the buffer size.
+        # Both are built once per process (section 4.5: compile once,
+        # then only re-run) and shared by every plan of that shape.
+        cache = get_cache()
+        fingerprint = cluster.fingerprint()
+        structure_key = plan_key(
+            self.name,
+            "structure",
+            self.nchannels,
+            self.algorithm,
+            fingerprint,
+            collective.value,
+        )
+        program, dag, groups = cache.lowered(
+            structure_key, build=lambda: self._build(cluster, collective)
+        )
+        chunks_per_mb = cluster.world_size * self.nchannels
+        n_mb, chunk_bytes = plan_microbatches(
+            buffer_bytes, chunks_per_mb, max_microbatches=self.max_microbatches
+        )
+        tb_programs = cache.lowered(
+            structure_key,
+            n_mb,
+            self.nwarps,
+            build=lambda: self._lower(groups, n_mb),
+        )
+        plan = ExecutionPlan(
+            name=f"NCCL/{program.name}",
+            cluster=cluster,
+            program=program,
+            dag=dag,
+            n_microbatches=n_mb,
+            chunk_bytes=chunk_bytes,
+            tb_programs=tb_programs,
+            mode=ExecMode.KERNEL,
+            # Lazy algorithm-level execution re-uses one buffer slot per
+            # connection each iteration: no sender run-ahead.
+            config=self.config or SimConfig(fifo_depth=1),
+            chunks_per_microbatch=chunks_per_mb,
+        )
+        plan.cache_key = plan_key(
+            self.name,
+            repr(self),
+            fingerprint,
+            collective.value,
+            float(buffer_bytes),
+        )
+        return plan
+
+    def _build(
+        self, cluster: Cluster, collective: Collective
+    ) -> Tuple[AlgoProgram, DependencyDAG, List[TBGroup]]:
+        """The combined channel program, its DAG, and the ``(rank,
+        label, tasks)`` of every TB in TB order."""
         base = self.select_algorithm(cluster, collective)
         nranks = cluster.world_size
         if base.nranks != nranks:
@@ -176,12 +231,7 @@ class NCCLBackend:
             for t in permute_transfers(base.transfers, perm, channel * nranks):
                 combined.transfers.append(t)
                 channel_of_task.append(channel)
-
         dag = build_dag(combined.transfers, cluster)
-        chunks_per_mb = nranks * self.nchannels
-        n_mb, chunk_bytes = plan_microbatches(
-            buffer_bytes, chunks_per_mb, max_microbatches=self.max_microbatches
-        )
 
         # Each channel's ring kernel is a recvCopySend loop: its send and
         # receive directions stream *concurrently*.  The serial-TB runtime
@@ -193,49 +243,35 @@ class NCCLBackend:
             channel = channel_of_task[t.task_id]
             sends_of[channel, t.src].append(t)
             recvs_of[channel, t.dst].append(t)
-        tb_programs: List[TBProgram] = []
+        groups: List[TBGroup] = []
         for rank in range(nranks):
-            count = 0
             for channel in range(self.nchannels):
-                sends = sends_of.get((channel, rank))
-                recvs = recvs_of.get((channel, rank))
-                for tasks, half in ((sends, "send"), (recvs, "recv")):
-                    if not tasks:
-                        continue
-                    tb_programs.append(
-                        TBProgram(
-                            rank=rank,
-                            tb_index=count,
-                            invocations=algorithm_level_order(
-                                tasks, rank, range(n_mb)
-                            ),
-                            nwarps=self.nwarps,
-                            label=f"nccl:ch{channel}:{half}",
-                        )
-                    )
-                    count += 1
-        plan = ExecutionPlan(
-            name=f"NCCL/{base.name}",
-            cluster=cluster,
-            program=combined,
-            dag=dag,
-            n_microbatches=n_mb,
-            chunk_bytes=chunk_bytes,
-            tb_programs=tb_programs,
-            mode=ExecMode.KERNEL,
-            # Lazy algorithm-level execution re-uses one buffer slot per
-            # connection each iteration: no sender run-ahead.
-            config=self.config or SimConfig(fifo_depth=1),
-            chunks_per_microbatch=chunks_per_mb,
-        )
-        plan.cache_key = plan_key(
-            self.name,
-            repr(self),
-            cluster.fingerprint(),
-            collective.value,
-            float(buffer_bytes),
-        )
-        return plan
+                for bucket, half in ((sends_of, "send"), (recvs_of, "recv")):
+                    tasks = bucket.get((channel, rank))
+                    if tasks:
+                        groups.append((rank, f"nccl:ch{channel}:{half}", tasks))
+        return combined, dag, groups
+
+    def _lower(
+        self,
+        groups: List[TBGroup],
+        n_mb: int,
+    ) -> List[TBProgram]:
+        """One algorithm-level TB program per group."""
+        tb_programs: List[TBProgram] = []
+        count: Dict[int, int] = defaultdict(int)
+        for rank, label, tasks in groups:
+            tb_programs.append(
+                TBProgram(
+                    rank=rank,
+                    tb_index=count[rank],
+                    invocations=algorithm_level_order(tasks, rank, range(n_mb)),
+                    nwarps=self.nwarps,
+                    label=label,
+                )
+            )
+            count[rank] += 1
+        return tb_programs
 
 
 __all__ = ["NCCLBackend", "channel_permutation", "permute_transfers"]

@@ -17,6 +17,13 @@ executions:
   are treated as immutable by every caller; TB allocation and kernel
   generation run at plan time, once per micro-batch count, in the
   lowered tier (:meth:`PlanCache.lowered`).
+* **Lowered tier** — any content key plus plan-shaping knobs → a built
+  value.  ResCCL keeps its TB programs here under the compile key; the
+  NCCL and MSCCL baselines keep their compiled form here too: a
+  structure (program, DAG, per-rank TB task groups) under a key of the
+  call's shape, and its TB programs under that key plus the micro-batch
+  count and warp count (and MSCCL's instances).  Every plan of one
+  shape shares those objects, which no caller alters.
 * **On-disk tier** — opt-in (``--cache-dir``, the ``RESCCL_CACHE_DIR``
   environment variable, or :func:`configure`): one pickle per key under
   the cache directory, written atomically.  A version bump or an unknown
@@ -238,19 +245,22 @@ class PlanCache:
         return result
 
     def lowered(self, cache_key: str, *knobs, build):
-        """Memoized TB allocation + kernel lowering for one plan call.
+        """``build()``, memoized under ``(cache_key, *knobs)``.
 
         A compile stops at the pipeline, so every plan call would
         otherwise allocate TBs and lower them even when the compile
         itself is a cache hit — for large winners that lowering
-        dominates the request-time cost.  This tier memoizes ``build()``
-        under ``(cache_key, *knobs)``, where ``cache_key`` is the
-        :class:`CompileResult`'s content hash and ``knobs`` are the
+        dominates the request-time cost.  ``cache_key`` is any content
+        key: a :class:`CompileResult`'s hash, whose ``knobs`` are the
         plan-shaping inputs (micro-batch count, pipelining allowance,
         warp count; the service's compile op keys its fingerprint under
-        ``"fingerprint"``).  Results built outside the cache carry an
-        empty ``cache_key`` and bypass the tier rather than alias each
-        other.
+        ``"fingerprint"``), or a baseline's structure key
+        (:func:`plan_key` over the call's shape), alone for the
+        structure and with the micro-batch count, warp count and MSCCL
+        instances for its TB programs.  Results built outside the cache
+        carry an empty ``cache_key`` and bypass the tier rather than
+        alias each other; a disabled cache (``capacity <= 0``) calls
+        ``build()`` every time.
         """
         if not cache_key or self.capacity <= 0:
             return build()

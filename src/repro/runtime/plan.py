@@ -14,6 +14,7 @@ mode:
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Tuple
@@ -69,11 +70,23 @@ class Protocol(enum.Enum):
 
 @dataclass(frozen=True)
 class Invocation:
-    """One primitive execution: (task, side, micro-batch)."""
+    """One primitive execution: (task, side, micro-batch).
+
+    A plan holds one per (task side, micro-batch), tens of thousands at
+    16 GPUs, and the plan cache keeps them, so instances carry no
+    ``__dict__``.  Frozen slots defeat the default pickle and deep-copy
+    protocol (it restores state by assignment); :meth:`__reduce__`
+    rebuilds through ``__init__`` instead.
+    """
+
+    __slots__ = ("task_id", "side", "mb")
 
     task_id: int
     side: Side
     mb: int
+
+    def __reduce__(self):
+        return (Invocation, (self.task_id, self.side, self.mb))
 
 
 @dataclass
@@ -207,7 +220,11 @@ class ExecutionPlan:
     :mod:`repro.core.plancache`).  The key is not an ``__init__``
     argument: plans made by hand or by :func:`dataclasses.replace`
     (``with_fidelity("fast")`` included) carry ``""`` and are simulated
-    on every call.  A keyed plan must not be altered in place.
+    on every call.  A keyed plan must not be altered in place, and
+    neither may any backend plan: equal calls share one DAG and, per
+    micro-batch count, one ``tb_programs`` list through the plan cache.
+    Edit a :func:`dataclasses.replace` copy or a deep copy instead; both
+    carry ``cache_key == ""``.
     """
 
     name: str
@@ -225,6 +242,14 @@ class ExecutionPlan:
     def __post_init__(self) -> None:
         if self.chunks_per_microbatch <= 0:
             self.chunks_per_microbatch = self.program.nchunks
+
+    def __deepcopy__(self, memo) -> "ExecutionPlan":
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        for name, value in vars(self).items():
+            setattr(clone, name, copy.deepcopy(value, memo))
+        clone.cache_key = ""  # the copy exists to be edited
+        return clone
 
     def with_fidelity(self, preset: str) -> "ExecutionPlan":
         """This plan under a :meth:`SimConfig.with_fidelity` preset;

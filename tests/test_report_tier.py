@@ -10,6 +10,7 @@ simulator.
 
 import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -20,9 +21,11 @@ from repro.core import plancache
 from repro.core.plancache import PlanCache, get_cache
 from repro.faults import FaultInjector, FaultPlan, RetryBackoffPolicy
 from repro.ir.task import Collective
+from repro.lang.builder import AlgoProgram
 from repro.obs import collecting, observe
 from repro.runtime import MB, ExecMode, ExecutionPlan, SimConfig, Simulator, simulate
 from repro.runtime import simulator as simulator_module
+from repro.runtime.plan import Invocation, Side
 from repro.topology import Cluster
 from tests.test_determinism_golden import (
     SIM_DIGESTS,
@@ -205,6 +208,18 @@ class TestBypasses:
         stats = get_cache().stats
         assert stats.report_hits == stats.report_misses == 0
 
+    def test_deep_copy_edited_in_place_is_simulated(self, plan, runs):
+        simulate(plan)
+        clone = copy.deepcopy(plan)
+        assert plan.cache_key and clone.cache_key == ""
+        clone.config.fifo_depth = 1
+        edited = simulate(clone)
+        assert len(runs) == 2
+        assert get_cache().stats.report_hits == 0
+        assert report_fingerprint(edited) == report_fingerprint(
+            Simulator(clone).run()
+        )
+
     def test_disabled_cache_always_simulates(self, plan, runs, monkeypatch):
         monkeypatch.setattr(plancache, "_default_cache", None)
         plancache.configure(enabled=False)
@@ -301,6 +316,173 @@ class TestKey:
             assert len({
                 plan.cache_key, bigger[name].cache_key, slower[name].cache_key
             }) == 3, name
+
+
+def _nccl(cluster, nbytes=32 * MB, **knobs):
+    return NCCLBackend(**knobs).plan(cluster, Collective.ALLREDUCE, nbytes)
+
+
+def _msccl(cluster, program, nbytes=32 * MB, **knobs):
+    return MSCCLBackend(**knobs).plan(cluster, program, nbytes)
+
+
+def _degraded(cluster):
+    return cluster.degraded([next(iter(cluster.edges))], 0.5)
+
+
+def _unstaged(program):
+    flat = copy.deepcopy(program)
+    flat.stage_starts = [0]
+    return flat
+
+
+class TestBaselinesCompileOnce:
+    """NCCL and MSCCL build a call shape's structure (program, DAG, TB
+    groups) once and its TB programs once per micro-batch count."""
+
+    def test_equal_calls_share_dag_and_tb_programs(self, cluster, program):
+        for make in (
+            lambda: _nccl(cluster),
+            lambda: _msccl(cluster, build_algorithm("hm-allreduce", cluster)),
+        ):
+            first, second = make(), make()
+            assert first is not second
+            assert first.dag is second.dag
+            assert first.tb_programs is second.tb_programs
+            assert first.cache_key == second.cache_key
+
+    def test_buffer_sizes_with_one_microbatch_count_share_tb_programs(
+        self, cluster, program
+    ):
+        for make in (
+            lambda nbytes: _nccl(cluster, nbytes),
+            lambda nbytes: _msccl(cluster, program, nbytes),
+        ):
+            small, large = make(8 * MB), make(9 * MB)
+            assert small.n_microbatches == large.n_microbatches
+            assert small.chunk_bytes < large.chunk_bytes
+            assert small.cache_key != large.cache_key
+            assert small.tb_programs is large.tb_programs
+
+    def test_new_microbatch_count_shares_only_the_structure(self, cluster, program):
+        for make in (
+            lambda nbytes: _nccl(cluster, nbytes),
+            lambda nbytes: _msccl(cluster, program, nbytes),
+        ):
+            one, more = make(8 * MB), make(128 * MB)
+            assert one.n_microbatches < more.n_microbatches
+            assert one.dag is more.dag
+            assert one.tb_programs is not more.tb_programs
+
+    @pytest.mark.parametrize(
+        "variant, new_structure",
+        [
+            (lambda c, p: _nccl(c, nchannels=2), True),
+            (lambda c, p: _nccl(c, algorithm="tree"), True),
+            (lambda c, p: _nccl(c, nwarps=8), False),
+            (lambda c, p: _nccl(_degraded(c)), True),
+            (lambda c, p: _msccl(c, p, instances=2), False),
+            (lambda c, p: _msccl(c, p, nwarps=4), False),
+            (lambda c, p: _msccl(c, _unstaged(p)), True),
+            (lambda c, p: _msccl(_degraded(c), p), True),
+        ],
+        ids=[
+            "nccl-nchannels", "nccl-algorithm", "nccl-nwarps", "nccl-degraded",
+            "msccl-instances", "msccl-nwarps", "msccl-stage_starts",
+            "msccl-degraded",
+        ],
+    )
+    def test_shape_knobs_get_their_own_entries(
+        self, cluster, program, variant, new_structure
+    ):
+        # A degraded fabric lowers to equal programs, but never to the
+        # healthy fabric's objects.
+        other = variant(cluster, program)
+        if other.name.startswith("NCCL"):
+            base = _nccl(cluster)
+        else:
+            base = _msccl(cluster, program)
+        assert other.tb_programs is not base.tb_programs
+        assert (other.dag is not base.dag) == new_structure
+
+    def test_disabled_cache_builds_every_call(self, cluster, program, monkeypatch):
+        calls = []
+        for backend in (NCCLBackend, MSCCLBackend):
+            for name in ("_build", "_lower"):
+                original = getattr(backend, name)
+
+                def spy(self, *args, _original=original, _name=name):
+                    calls.append((type(self).name, _name))
+                    return _original(self, *args)
+
+                monkeypatch.setattr(backend, name, spy)
+        monkeypatch.setattr(plancache, "_default_cache", None)
+        plancache.configure(enabled=False)
+        plans = [_nccl(cluster), _nccl(cluster)]
+        plans += [_msccl(cluster, program), _msccl(cluster, program)]
+        assert plans[0].dag is not plans[1].dag
+        assert plans[2].tb_programs is not plans[3].tb_programs
+        assert plans[0].tb_programs == plans[1].tb_programs
+        assert sorted(calls) == sorted(
+            [(name, step) for name in ("NCCL", "MSCCL")
+             for step in ("_build", "_lower")] * 2
+        )
+
+    def test_msccl_renders_the_source_once_per_plan(
+        self, cluster, program, monkeypatch
+    ):
+        rendered = []
+        original = AlgoProgram.to_source
+
+        def counting(self):
+            rendered.append(self.name)
+            return original(self)
+
+        monkeypatch.setattr(AlgoProgram, "to_source", counting)
+        for _ in range(3):
+            _msccl(cluster, program)
+        assert rendered == [program.name] * 3
+
+    @pytest.mark.parametrize(
+        "name", ["nccl/ring-allreduce@2x8", "msccl/hm-allreduce@2x8/interpreter"]
+    )
+    def test_reused_plans_keep_their_golden_digest(self, name):
+        cache = get_cache()
+        assert sim_digest(name) == SIM_DIGESTS[name]
+        cache._reports.clear()
+        hits = cache.stats.lowered_hits
+        assert sim_digest(name) == SIM_DIGESTS[name]
+        assert cache.stats.lowered_hits == hits + 2
+        assert cache.stats.report_hits == 0
+
+
+class TestCopies:
+    def test_invocation_is_compact_and_round_trips(self):
+        inv = Invocation(task_id=7, side=Side.RECV, mb=3)
+        assert not hasattr(inv, "__dict__")
+        for clone in (pickle.loads(pickle.dumps(inv)), copy.deepcopy(inv)):
+            assert clone == inv
+            assert hash(clone) == hash(inv)
+            assert clone.side is Side.RECV
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                clone.mb = 0
+
+    def test_nccl_plan_round_trips(self, cluster):
+        plan = _nccl(cluster, 32 * MB)
+        pickled = pickle.loads(pickle.dumps(plan))
+        deep = copy.deepcopy(plan)
+        for clone in (pickled, deep):
+            assert clone.tb_programs == plan.tb_programs
+            assert clone.tb_programs is not plan.tb_programs
+            assert [t.__dict__ for t in clone.dag.tasks] == [
+                t.__dict__ for t in plan.dag.tasks
+            ]
+            assert clone.cluster.fingerprint() == plan.cluster.fingerprint()
+            for field in ("name", "n_microbatches", "chunk_bytes", "mode",
+                          "config", "chunks_per_microbatch"):
+                assert getattr(clone, field) == getattr(plan, field)
+        assert pickled.cache_key == plan.cache_key
+        assert deep.cache_key == ""
 
 
 class TestValidateOnce:
