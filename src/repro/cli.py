@@ -35,7 +35,7 @@ from .core import ResCCLBackend, ResCCLCompiler, allocate_tbs, lower_to_programs
 from .core import plancache, render_kernel_source
 from .experiments import available_experiments, run_experiment
 from .faults import INJECT_SCENARIOS, POLICY_NAMES, run_with_faults
-from .lang import AlgoProgram, parse_program, validate_program
+from .lang import AlgoProgram, ProgramValidationError, parse_program, validate_program
 from .analysis import (
     ascii_gantt,
     attribute,
@@ -221,7 +221,10 @@ def _program_and_cluster(args: argparse.Namespace) -> Tuple[AlgoProgram, Cluster
     if path.suffix == ".xml":
         program = read_msccl_xml(str(path))
     else:
-        program = parse_program(path.read_text())
+        try:
+            program = parse_program(path.read_text())
+        except ValueError as exc:  # a ResCCLangError, or a Transfer's own check
+            raise RequestError(f"{path}: {exc}") from None
     if (program.nranks == cluster.world_size
             or (args.nodes, args.gpus) != _DEFAULT_SHAPE):
         return program, cluster
@@ -936,6 +939,17 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except RequestError as exc:  # e.g. a bad spec, rank or cluster size
         print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+    except ProgramValidationError as exc:  # e.g. a duplicate transfer in a file
+        shown = "; ".join(exc.issues[:3])
+        more = len(exc.issues) - 3
+        if more > 0:
+            shown += f"; ... and {more} more"
+        source = getattr(args, "algorithm", args.command)
+        print(
+            f"error: {source}: {len(exc.issues)} validation issue(s): {shown}",
+            file=sys.stderr,
+        )
         raise SystemExit(2) from None
 
 

@@ -2,9 +2,10 @@
 
 The compiler runs the first three serial phases of Figure 10(a):
 
-1. **Parsing** — ResCCLang source to AST, then elaboration into the flat
-   transfer program;
-2. **Analysis** — transfers to the data-dependency DAG (plus validation);
+1. **Parsing** — ResCCLang source to the flat transfer program (literal
+   transfer lines skip the AST; see :mod:`repro.lang.parser`);
+2. **Analysis** — transfers to the data-dependency DAG, which also serves
+   validation (one DAG per compile; see :mod:`repro.lang.validate`);
 3. **Scheduling** — HPDS (or the round-robin ablation baseline) over the
    DAG, producing the global task pipeline.
 
@@ -35,9 +36,8 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..ir.dag import DependencyDAG, build_dag
 from ..lang.builder import AlgoProgram
-from ..lang.parser import parse_module
-from ..lang.builder import evaluate_module
-from ..lang.validate import validate_program
+from ..lang.parser import parse_program
+from ..lang.validate import validated_dag
 from ..obs.metrics import current_registry
 from ..obs.spans import span as obs_span
 from ..topology import Cluster
@@ -163,22 +163,24 @@ class ResCCLCompiler:
                 times["parsing"] = 0.0
                 times["analysis"] = 0.0
             else:
-                # Phase 1: Parsing (DSL text -> AST -> elaborated program).
+                # Phase 1: Parsing (DSL text -> elaborated program).
                 start = time.perf_counter()
                 with obs_span("parsing") as sp:
                     if isinstance(algorithm, str):
-                        program = evaluate_module(parse_module(algorithm))
+                        program = parse_program(algorithm)
                     else:
                         program = algorithm
                     sp.set(transfers=len(program.transfers))
                 times["parsing"] = (time.perf_counter() - start) * 1e6
 
-                # Phase 2: Analysis (program -> dependency DAG).
+                # Phase 2: Analysis (program -> dependency DAG, validated
+                # by the same build).
                 start = time.perf_counter()
                 with obs_span("analysis") as sp:
                     if self.validate:
-                        validate_program(program, cluster).raise_if_failed()
-                    dag = build_dag(program.transfers, cluster)
+                        dag = validated_dag(program, cluster)
+                    else:
+                        dag = build_dag(program.transfers, cluster)
                     sp.set(dag_nodes=len(dag), dag_edges=dag.edge_count)
                 times["analysis"] = (time.perf_counter() - start) * 1e6
 

@@ -37,6 +37,11 @@ class CyclicDependencyError(ValueError):
     """
 
 
+class RankRangeError(ValueError):
+    """Raised by :func:`build_dag` when a transfer names a rank outside
+    the cluster (no link can be resolved for it)."""
+
+
 class DependencyDAG:
     """The task-level dependency DAG ``G_A = (V_T, E)`` of section 3.
 
@@ -46,7 +51,12 @@ class DependencyDAG:
         succs: ``task_id -> set of task_ids depending on it``.
         chunk_tasks: per-chunk sub-DAG membership ``G[C]`` used by HPDS.
         link_tasks: per-link groupings encoding communication dependencies.
+        write_conflict: set by :func:`build_dag` when one buffer slot is
+            written by more than one task in one step (a duplicate
+            transfer or a same-step write conflict).
     """
+
+    write_conflict = False
 
     def __init__(self, tasks: Sequence[TransmissionTask]) -> None:
         self.tasks: List[TransmissionTask] = list(tasks)
@@ -237,6 +247,8 @@ def _hazard_edges(
                 j += 1
             writes = [t for _, t, w in accesses[i:j] if w]
             reads = [t for _, t, w in accesses[i:j] if not w]
+            if len(writes) > 1:
+                dag.write_conflict = True
             for tid in writes:
                 for producer in last_writers:
                     add_edge(producer, tid)  # write-after-write
@@ -262,16 +274,29 @@ def build_dag(
     Tasks get dense ids in input order.  Data-dependency edges follow the
     hazard rules per buffer slot, ordered by the DSL ``step`` value;
     accesses sharing a step are considered concurrent and get no edge.
+    Every edge therefore runs from a lower step to a strictly higher one,
+    so a DAG built here is acyclic by construction.
+
+    The cheap well-formedness facts come with the build: a rank outside
+    the cluster raises :class:`RankRangeError` (checked once per distinct
+    ``(src, dst)`` pair), ``max(dag.chunk_tasks)`` is the largest chunk
+    id, and ``dag.write_conflict`` flags a slot written twice in a step.
     """
     # Collectives reuse a small set of (src, dst) pairs across thousands
     # of transfers; resolving each pair's link name and locality once
     # keeps task construction linear in the transfer count.
     pair_cache: Dict[Tuple[int, int], Tuple[str, bool]] = {}
     tasks: List[TransmissionTask] = []
+    world = cluster.world_size
     for index, transfer in enumerate(transfers):
         pair = (transfer.src, transfer.dst)
         resolved = pair_cache.get(pair)
         if resolved is None:
+            for rank in pair:
+                if not 0 <= rank < world:
+                    raise RankRangeError(
+                        f"transfer #{index}: rank {rank} out of range [0, {world})"
+                    )
             resolved = pair_cache[pair] = (
                 cluster.link_name(*pair),
                 cluster.same_node(*pair),
@@ -289,4 +314,4 @@ def build_dag(
     return dag
 
 
-__all__ = ["DependencyDAG", "CyclicDependencyError", "build_dag"]
+__all__ = ["DependencyDAG", "CyclicDependencyError", "RankRangeError", "build_dag"]

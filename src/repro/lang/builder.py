@@ -4,13 +4,16 @@ Algorithm developers (and the synthesizers) construct programs through
 :class:`AlgoProgram` — the embedded form of ResCCLang, matching how the
 paper's Figure 16 program is "Python-style".  The textual parser produces
 an AST :class:`~repro.lang.ast.Module`, which :func:`evaluate_module`
-executes into the same :class:`AlgoProgram` representation.
+executes into the same :class:`AlgoProgram` representation.  On the
+compile path (:func:`~repro.lang.parser.parse_program`) a module body may
+also hold :data:`LiteralTransfer` records, which execute into a
+:class:`Transfer` with no expression evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from ..ir.task import Collective, CommType, Transfer, chunk_count
 from .ast import (
@@ -30,6 +33,10 @@ from .ast import (
 
 #: Safety valve for runaway loops when evaluating untrusted DSL text.
 MAX_TRANSFERS = 5_000_000
+
+#: ``(src, dst, step, chunk, op)`` of a ``transfer`` line whose arguments
+#: are integer literals: the :class:`Transfer` fields, read by the scanner.
+LiteralTransfer = Tuple[int, int, int, int, CommType]
 
 
 @dataclass
@@ -168,11 +175,24 @@ def _header_env(header: Header) -> Dict[str, int]:
     }
 
 
+def _runaway() -> ResCCLangEvalError:
+    return ResCCLangEvalError(
+        f"program exceeds {MAX_TRANSFERS} transfers; likely a runaway loop"
+    )
+
+
 def _execute(
-    body: Sequence[Stmt], env: Dict[str, int], program: AlgoProgram
+    body: Sequence[Union[Stmt, LiteralTransfer]],
+    env: Dict[str, int],
+    program: AlgoProgram,
 ) -> None:
+    transfers = program.transfers
     for stmt in body:
-        if isinstance(stmt, Assign):
+        if type(stmt) is tuple:  # a LiteralTransfer from the scanner
+            if len(transfers) >= MAX_TRANSFERS:
+                raise _runaway()
+            transfers.append(Transfer(*stmt))
+        elif isinstance(stmt, Assign):
             env[stmt.target] = eval_expr(stmt.value, env)
         elif isinstance(stmt, ForLoop):
             args = [eval_expr(a, env) for a in stmt.range_args]
@@ -180,11 +200,8 @@ def _execute(
                 env[stmt.var] = value
                 _execute(stmt.body, env, program)
         elif isinstance(stmt, TransferStmt):
-            if len(program.transfers) >= MAX_TRANSFERS:
-                raise ResCCLangEvalError(
-                    f"program exceeds {MAX_TRANSFERS} transfers; "
-                    "likely a runaway loop"
-                )
+            if len(transfers) >= MAX_TRANSFERS:
+                raise _runaway()
             program.transfer(
                 src=eval_expr(stmt.src, env),
                 dst=eval_expr(stmt.dst, env),
@@ -204,4 +221,4 @@ def evaluate_module(module: Module) -> AlgoProgram:
     return program
 
 
-__all__ = ["AlgoProgram", "evaluate_module", "MAX_TRANSFERS"]
+__all__ = ["AlgoProgram", "LiteralTransfer", "evaluate_module", "MAX_TRANSFERS"]

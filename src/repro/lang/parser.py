@@ -23,12 +23,21 @@ token of look-ahead, and logical lines stream into the block parser one
 at a time, so only the current line's tokens are alive.  Every syntax
 error is a :class:`ResCCLangSyntaxError` carrying the (starting) line
 number of the offending logical line.
+
+:func:`parse_program` (the compile path) reads a *literal* transfer line,
+``transfer(<int>, <int>, <int>, <int>, recv|rrc)`` with any blanks, by one
+regex match into a plain ``(src, dst, step, chunk, CommType)`` record: no
+tokens, no AST nodes, no expression evaluation.  That is the shape of
+every line :meth:`AlgoProgram.to_source` writes.  Any other line (loops,
+expressions, a quoted or upper-case commType, malformed text) takes the
+tokenizer and parser above, so errors keep their messages and line
+numbers, and :func:`parse_module` returns the same AST as ever.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..ir.task import Collective, CommType
 from .ast import (
@@ -45,13 +54,20 @@ from .ast import (
     Stmt,
     TransferStmt,
 )
-from .builder import AlgoProgram, evaluate_module
+from .builder import AlgoProgram, LiteralTransfer, evaluate_module
 
 _TOKEN_CHARS = r" \t\dA-Za-z_+\-*/%(),:="
 #: A line is clean when every character is whitespace, a token character,
 #: or part of a closed string (written unrolled, so matching is linear).
 _CLEAN_RE = re.compile(rf'[{_TOKEN_CHARS}]*(?:"[^"\n]*"[{_TOKEN_CHARS}]*)*')
 _TOKEN_RE = re.compile(r'"[^"\n]*"|\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*/%(),:=]')
+#: A whole physical line holding one literal transfer: its indent, the
+#: four integers and the commType, then blanks and an optional comment.
+_LITERAL_RE = re.compile(
+    r"([ \t]*)transfer[ \t]*\([ \t]*([0-9]+)[ \t]*,[ \t]*([0-9]+)[ \t]*,"
+    r"[ \t]*([0-9]+)[ \t]*,[ \t]*([0-9]+)[ \t]*,[ \t]*(recv|rrc)[ \t]*\)"
+    r"[ \t]*(?:#.*)?"
+)
 
 #: Tokens after the last one of a line read as this end marker.
 _END = ""
@@ -73,8 +89,8 @@ _HEADER_PARAMS = {
 }
 
 #: ``(indent, tokens, line number)`` of one logical line; ``tokens`` ends
-#: with :data:`_END`.
-_Line = Tuple[int, List[str], int]
+#: with :data:`_END`, or is the record of a literal transfer line.
+_Line = Tuple[int, Union[List[str], LiteralTransfer], int]
 
 
 def _bad_character(text: str, number: int) -> ResCCLangSyntaxError:
@@ -82,17 +98,28 @@ def _bad_character(text: str, number: int) -> ResCCLangSyntaxError:
     return ResCCLangSyntaxError(f"unexpected character {bad!r}", number)
 
 
-def _logical_lines(source: str) -> Iterator[_Line]:
+def _logical_lines(source: str, literals: bool) -> Iterator[_Line]:
     """Yield the indented token lines of ``source``, dropping blanks/comments.
 
     A trailing backslash or an unclosed parenthesis joins physical lines,
     which lets long headers wrap as in the paper's listing; the joined
-    line reports the number of its first physical line.
+    line reports the number of its first physical line.  With
+    ``literals``, a physical line after the header that holds one literal
+    transfer yields its :data:`LiteralTransfer` record instead of tokens.
     """
     clean, tokenize = _CLEAN_RE.fullmatch, _TOKEN_RE.findall
+    literal = None  # the header line always goes through the tokenizer
     pending = ""
     start = depth = 0
     for number, code in enumerate(source.splitlines(), 1):
+        if literal is not None and not pending:
+            match = literal(code)
+            if match is not None:
+                lead, src, dst, step, chunk, comm = match.groups()
+                indent = len(lead.replace("\t", "    ") if "\t" in lead else lead)
+                record = (int(src), int(dst), int(step), int(chunk), _COMM_TYPES[comm])
+                yield indent, record, number
+                continue
         if "#" in code:
             code = code[: code.index("#")]
         code = code.rstrip()
@@ -121,6 +148,8 @@ def _logical_lines(source: str) -> Iterator[_Line]:
         if tokens:
             tokens.append(_END)
             yield indent, tokens, start
+            if literals:
+                literal = _LITERAL_RE.fullmatch
     if pending.strip():
         text = pending.lstrip()
         if clean(text) is None:
@@ -322,6 +351,10 @@ def _parse_block(
                 f"unexpected indent (expected {indent} spaces, got {line_indent})",
                 number,
             )
+        if type(tokens) is tuple:  # a literal transfer, already read
+            body.append(tokens)
+            line = next(lines, None)
+            continue
         head = tokens[0]
         if head == "transfer":
             body.append(_parse_transfer(tokens, number, atoms))
@@ -346,9 +379,8 @@ def _parse_block(
     return body, line
 
 
-def parse_module(source: str) -> Module:
-    """Parse ResCCLang source text into an AST module."""
-    lines = _logical_lines(source)
+def _parse(source: str, literals: bool) -> Module:
+    lines = _logical_lines(source, literals)
     first = next(lines, None)
     if first is None:
         raise ResCCLangSyntaxError("empty program", 1)
@@ -367,9 +399,18 @@ def parse_module(source: str) -> Module:
     return Module(header=header, body=body)
 
 
+def parse_module(source: str) -> Module:
+    """Parse ResCCLang source text into an AST module."""
+    return _parse(source, literals=False)
+
+
 def parse_program(source: str) -> AlgoProgram:
-    """Parse and evaluate ResCCLang text into an elaborated program."""
-    return evaluate_module(parse_module(source))
+    """Parse and evaluate ResCCLang text into an elaborated program.
+
+    Equal to ``evaluate_module(parse_module(source))``, with literal
+    transfer lines read straight into records (see the module docstring).
+    """
+    return evaluate_module(_parse(source, literals=True))
 
 
 __all__ = ["parse_module", "parse_program"]

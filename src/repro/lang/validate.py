@@ -4,6 +4,19 @@ Run before compilation, these checks catch the errors that would deadlock
 or corrupt a collective on real hardware: out-of-range ranks/chunks,
 duplicate transmission tasks, same-step write conflicts on one buffer
 slot, and cyclic data dependencies.
+
+:func:`validate_program` is the one producer of the issue list (for the
+compiler and for ``resccl verify``).  A validated compile does not call
+it up front: :func:`validated_dag` builds the compile's own DAG, whose
+construction already range-checks ranks, records every chunk id and
+flags slots written twice in one step, and calls :func:`validate_program`
+only when one of those facts (or an empty program, or a rank count that
+differs from the cluster's) says it will report something.
+
+Every data-dependency edge :func:`~repro.ir.dag.build_dag` adds runs from
+a lower DSL step to a strictly higher one, so DAGs built from programs
+are acyclic by construction.  The cycle check stays as a cheap guard: it
+reads the DAG's cached topological order, which scheduling reuses.
 """
 
 from __future__ import annotations
@@ -12,7 +25,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..ir.dag import CyclicDependencyError, build_dag
+from ..ir.dag import CyclicDependencyError, DependencyDAG, RankRangeError, build_dag
 from ..topology import Cluster
 from .builder import AlgoProgram
 
@@ -117,4 +130,36 @@ def validate_program(
     return report
 
 
-__all__ = ["validate_program", "ValidationReport", "ProgramValidationError"]
+def validated_dag(program: AlgoProgram, cluster: Cluster) -> DependencyDAG:
+    """The dependency DAG of a valid ``program`` on ``cluster``.
+
+    Raises :class:`ProgramValidationError` with exactly
+    :func:`validate_program`'s issues when the program is invalid.  A
+    valid program costs one :func:`~repro.ir.dag.build_dag` and no other
+    pass: each issue class shows up in that build (see the module
+    docstring), and only then does :func:`validate_program` run.
+    """
+    if program.transfers and cluster.world_size == program.nranks:
+        try:
+            dag = build_dag(program.transfers, cluster)
+        except RankRangeError:
+            pass
+        else:
+            if (
+                max(dag.chunk_tasks) < program.nchunks
+                and not dag.write_conflict
+                and dag.is_acyclic()
+            ):
+                return dag
+    validate_program(program, cluster).raise_if_failed()
+    raise AssertionError(
+        f"validate_program accepts {program!r}, which build_dag flagged"
+    )
+
+
+__all__ = [
+    "validate_program",
+    "validated_dag",
+    "ValidationReport",
+    "ProgramValidationError",
+]

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
 import threading
 import time
 import traceback
@@ -143,7 +144,16 @@ class _Worker:
 def _worker_main(
     conn, heartbeat, cache_dir, lru_capacity, index=0, tuning_table=None
 ) -> None:
-    """Worker process entry: jobs in, results + metrics out."""
+    """Worker process entry: jobs in, results + metrics out.
+
+    The worker dies with its daemon.  Pipe EOF alone does not ensure
+    that: a worker forked later inherits the daemon's end of this
+    worker's pipe.  So the heartbeat thread exits the process once the
+    parent recorded at start is gone (``os.getppid()`` changes when the
+    worker is re-parented).  Under the ``forkserver`` start method that
+    parent is the fork server, which exits with the daemon too.
+    """
+    parent = os.getppid()
     from ..core import plancache
 
     if cache_dir:
@@ -154,9 +164,10 @@ def _worker_main(
         configure_tuning(tuning_table)
 
     def _beat() -> None:
-        while True:
+        while os.getppid() == parent:
             heartbeat.value = time.time()
             time.sleep(HEARTBEAT_INTERVAL_S)
+        os._exit(0)  # orphaned: no daemon is left to reply to
 
     threading.Thread(target=_beat, daemon=True, name="heartbeat").start()
 

@@ -89,6 +89,44 @@ class TestProgramFile:
         assert "static validation FAILED" in capsys.readouterr().out
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
+class TestMalformedProgramFile:
+    """A broken DSL file ends with one ``error: <file>: <reason>`` line
+    and exit 2, never a traceback; ``verify`` keeps its exit-1 verdict
+    for a file that parses but fails validation."""
+
+    @pytest.mark.parametrize(
+        "name, reason",
+        [
+            ("malformed_duplicate", "2 validation issue(s): duplicate transfer"),
+            ("malformed_rank", "1 validation issue(s): transfer #1: dst rank 9 >= nRanks 4"),
+            ("malformed_syntax", "line 3: expected ',', found ')'"),
+            ("malformed_self_transfer", "transfer from rank 1 to itself"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["compile", "run"])
+    def test_exits_2_with_one_line(self, command, name, reason, capsys):
+        path = str(DATA / f"{name}.rescclang")
+        with pytest.raises(SystemExit) as info:
+            main([command, path, "--buffer-mb", "1"] if command == "run" else [command, path])
+        assert info.value.code == 2
+        assert_one_error_line(capsys, f"error: {path}: {reason}")
+
+    @pytest.mark.parametrize("name", ["malformed_syntax", "malformed_self_transfer"])
+    def test_verify_exits_2_on_unreadable_file(self, name, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", str(DATA / f"{name}.rescclang")])
+        assert info.value.code == 2
+        assert_one_error_line(capsys, f"{name}.rescclang: ")
+
+    @pytest.mark.parametrize("name", ["malformed_duplicate", "malformed_rank"])
+    def test_verify_keeps_its_validation_verdict(self, name, capsys):
+        assert main(["verify", str(DATA / f"{name}.rescclang")]) == 1
+        assert "static validation FAILED" in capsys.readouterr().out
+
+
 class TestCompile:
     def test_compile_summary(self, capsys):
         assert main(["compile", "ring-allgather", "--nodes", "1", "--gpus", "8"]) == 0
@@ -770,8 +808,8 @@ class TestFaultInjection:
         )
         assert "GB/s" in capsys.readouterr().out
 
-    def test_explicit_cluster_shape_still_validates(self):
-        with pytest.raises(Exception, match="nRanks"):
+    def test_explicit_cluster_shape_still_validates(self, capsys):
+        with pytest.raises(SystemExit) as info:
             main(
                 [
                     "run", self.RING8,
@@ -779,6 +817,8 @@ class TestFaultInjection:
                     "--buffer-mb", "16",
                 ]
             )
+        assert info.value.code == 2
+        assert_one_error_line(capsys, "program declares nRanks=8 but the cluster has 12")
 
     def test_experiment_seed_is_plumbed(self, capsys):
         import repro.experiments as experiments

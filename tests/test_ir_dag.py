@@ -1,5 +1,7 @@
 """Tests for dependency-DAG construction (data + communication deps)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.ir import (
@@ -143,6 +145,66 @@ class TestStructure:
         for program in programs:
             dag = build_dag(program.transfers, cluster)
             assert dag.is_acyclic(), program.name
+
+
+_EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "algorithms"
+
+
+def _program_sources():
+    """Every program source the repo ships: built-ins, the TACCL/TECCL
+    synthesizers and the example corpus."""
+    from repro.algorithms import available_algorithms
+
+    specs = list(available_algorithms())
+    specs += [f"{synth}:{coll}" for synth in ("taccl", "teccl")
+              for coll in ("allgather", "allreduce", "reducescatter")]
+    return specs + sorted(path.name for path in _EXAMPLES.glob("*.rescclang"))
+
+
+class TestAcyclicByConstruction:
+    """Every hazard edge runs from a lower DSL step to a strictly higher
+    one, so DAGs built from programs are acyclic by construction (the
+    validator's cycle check is only a guard)."""
+
+    @pytest.mark.parametrize("source", _program_sources())
+    def test_every_edge_climbs_in_step(self, source):
+        from repro.lang import parse_program
+        from repro.request import resolve_spec
+
+        if source.endswith(".rescclang"):
+            program = parse_program((_EXAMPLES / source).read_text())
+            gpus = program.header.gpus_per_node
+            cluster = multi_node(program.nranks // gpus, gpus)
+        else:
+            cluster = multi_node(2, 4)
+            program = resolve_spec(source, cluster)
+        dag = build_dag(program.transfers, cluster)
+        for producer, consumer in dag.edges():
+            assert dag.task(producer).step < dag.task(consumer).step
+
+
+class TestBuildChecks:
+    """The well-formedness facts build_dag records for validation."""
+
+    def test_rank_outside_cluster_raises(self):
+        from repro.ir.dag import RankRangeError
+
+        with pytest.raises(RankRangeError, match="transfer #1: rank 4 out of range"):
+            build_dag([_t(0, 1, 0, 0), _t(1, 4, 1, 0)], single_node(4))
+
+    @pytest.mark.parametrize(
+        "transfers, flagged",
+        [
+            ([_t(0, 1, 0, 0), _t(2, 3, 0, 0)], False),  # distinct slots
+            ([_t(0, 1, 0, 0), _t(0, 1, 0, 0)], True),  # duplicate
+            ([_t(0, 1, 0, 0), _t(2, 1, 0, 0)], True),  # same-step writers
+            ([_t(0, 1, 0, 0), _t(2, 1, 1, 0)], False),  # later step: WAW edge
+        ],
+    )
+    def test_write_conflict_flag(self, transfers, flagged):
+        dag = build_dag(transfers, single_node(4))
+        assert dag.write_conflict is flagged
+        assert max(dag.chunk_tasks) == 0
 
 
 class TestTransferValidation:

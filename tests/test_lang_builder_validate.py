@@ -169,3 +169,89 @@ class TestValidation:
             )
         with pytest.raises(ProgramValidationError, match="more"):
             validate_program(program).raise_if_failed()
+
+
+def _program(transfers, nranks=4):
+    program = AlgoProgram.create(nranks, Collective.ALLREDUCE)
+    for transfer in transfers:
+        program.transfer(*transfer)
+    return program
+
+
+#: One case per issue class ``validate_program`` reports:
+#: ``(transfers of a 4-rank program, cluster world size)``.
+PARITY_CASES = [
+    pytest.param([], 4, id="empty-program"),
+    pytest.param([(0, 1, 0, 0)], 8, id="cluster-mismatch"),
+    pytest.param([(0, 1, 0, 0), (5, 1, 1, 0)], 4, id="src-out-of-range"),
+    pytest.param([(0, 1, 0, 0), (1, 6, 1, 0)], 4, id="dst-out-of-range"),
+    pytest.param([(0, 1, 0, 0), (1, 2, 1, 9)], 4, id="chunk-out-of-range"),
+    pytest.param([(0, 1, 0, 0), (0, 1, 0, 0)], 4, id="duplicate"),
+    pytest.param([(0, 2, 0, 1, "rrc"), (1, 2, 0, 1, "rrc")], 4, id="write-conflict"),
+    pytest.param(
+        [(0, 1, 0, 0), (0, 1, 0, 0), (2, 7, 1, 5), (3, 1, 1, 8)], 4, id="several"
+    ),
+]
+
+
+class TestCompileValidationParity:
+    """A validated compile rejects exactly what validate_program rejects,
+    with exactly its issue list, while building a single DAG."""
+
+    @pytest.mark.parametrize("transfers, world", PARITY_CASES)
+    def test_compile_raises_the_validator_issues(self, transfers, world):
+        from repro.core import ResCCLCompiler
+
+        program, cluster = _program(transfers), single_node(world)
+        expected = validate_program(program, cluster).issues
+        assert expected
+        with pytest.raises(ProgramValidationError) as info:
+            ResCCLCompiler().compile(program, cluster)
+        assert info.value.issues == expected
+        if transfers:  # an empty body is a syntax error in text
+            with pytest.raises(ProgramValidationError) as info:
+                ResCCLCompiler().compile(program.to_source(), cluster)
+            assert info.value.issues == expected
+
+    def test_cycle_guard_reports_the_validator_issue(self, monkeypatch):
+        """DSL DAGs cannot be cyclic, so a back edge is injected into
+        every DAG the validation module builds."""
+        from repro.core import ResCCLCompiler
+        from repro.lang import validate
+
+        build = validate.build_dag
+
+        def cyclic(transfers, cluster):
+            dag = build(transfers, cluster)
+            dag.add_edge(len(dag) - 1, 0)
+            return dag
+
+        monkeypatch.setattr(validate, "build_dag", cyclic)
+        program, cluster = _program([(0, 1, 0, 0), (1, 2, 1, 0)]), single_node(4)
+        expected = validate_program(program, cluster).issues
+        assert len(expected) == 1 and "cycle" in expected[0]
+        with pytest.raises(ProgramValidationError) as info:
+            ResCCLCompiler().compile(program, cluster)
+        assert info.value.issues == expected
+
+    @pytest.mark.parametrize("from_text", [False, True], ids=["program", "text"])
+    def test_validated_compile_builds_one_dag(self, monkeypatch, from_text):
+        from repro.algorithms import build_algorithm
+        from repro.core import ResCCLCompiler, compiler
+        from repro.lang import validate
+
+        calls = []
+        build = validate.build_dag
+
+        def counting(transfers, cluster):
+            calls.append(len(transfers))
+            return build(transfers, cluster)
+
+        monkeypatch.setattr(validate, "build_dag", counting)
+        monkeypatch.setattr(compiler, "build_dag", counting)
+        cluster = multi_node(2, 4)
+        program = build_algorithm("hm-allreduce", cluster)
+        source = program.to_source() if from_text else program
+        result = ResCCLCompiler().compile(source, cluster)
+        assert calls == [len(program.transfers)]
+        assert len(result.dag) == len(program.transfers)

@@ -254,3 +254,113 @@ def ResCCLAlgo(nRanks=32, nChannels=4, nWarps=16, AlgoName="HM", OpType="Allredu
         program = parse_program(source)
         built = hm_allreduce(4, 8)
         assert set(program.transfers) == set(built.transfers)
+
+
+#: Spellings of one literal transfer line; every one must elaborate to
+#: ``Transfer(1, 2, 3, 0, rrc)``, most through the literal scanner and
+#: the rest (continuations, quoted or upper-case commType) through the
+#: tokenizer and parser.
+LITERAL_VARIANTS = {
+    "plain": "    transfer(1, 2, 3, 0, rrc)\n",
+    "tab-indent": "\ttransfer(1, 2, 3, 0, rrc)\n",
+    "tight": "    transfer(1,2,3,0,rrc)\n",
+    "spread": "    transfer  (  1 ,\t2 , 3\t,0,  rrc  )  \n",
+    "leading-zeros": "    transfer(01, 002, 3, 00, rrc)\n",
+    "trailing-comment": "    transfer(1, 2, 3, 0, rrc)  # recv (\n",
+    "paren-continuation": "    transfer(1, 2,\n             3, 0, rrc)\n",
+    "backslash-continuation": "    transfer(1, 2, 3, \\\n        0, rrc)\n",
+    "quoted-comm-type": '    transfer(1, 2, 3, 0, "rrc")\n',
+    "upper-case-comm-type": "    transfer(1, 2, 3, 0, RRC)\n",
+    "expression-argument": "    transfer(1, 1 + 1, 3, 0, rrc)\n",
+}
+
+
+#: Literal-looking bodies that are syntax errors, whichever path reads them.
+MALFORMED_LITERALS = {
+    "missing-argument": "    transfer(0, 1, 0, recv)\n",
+    "trailing-token": "    transfer(0, 1, 0, 0, recv) x\n",
+    "extra-paren": "    transfer(0, 1, 0, 0, recv))\n",
+    "double-comma": "    transfer(0, 1, 0, 0,, recv)\n",
+    "missing-comma": "    transfer(0 1, 0, 0, recv)\n",
+    "unknown-comm-type": "    transfer(0, 1, 0, 0, push)\n",
+    "bad-character": "    transfer(0, 1, 0, 0, recv) $\n",
+    "non-ascii-blank": "    transfer(0, 1, 0, 0, recv)\xa0x\n",
+    "unbalanced-at-eof": "    transfer(0, 1, 0, 0, recv\n",
+    "unexpected-indent": "    x = 1\n      transfer(0, 1, 0, 0, recv)\n",
+    "outside-body": "    x = 1\ntransfer(0, 1, 0, 0, recv)\n",
+    "syntax-error-beats-self-transfer": "    transfer(1, 1, 0, 0, recv)\n    x = 1 2\n",
+}
+
+
+def _reference(source):
+    """The compile path's result as the AST evaluator gives it."""
+    from repro.lang import evaluate_module
+
+    return evaluate_module(parse_module(source))
+
+
+def _raised(parse, source):
+    with pytest.raises(ValueError) as info:
+        parse(source)
+    return type(info.value), str(info.value), getattr(info.value, "line", None)
+
+
+class TestLiteralLines:
+    """parse_program reads literal transfer lines without the AST, with
+    the same result as evaluate_module(parse_module(text))."""
+
+    @pytest.mark.parametrize("line", LITERAL_VARIANTS.values(), ids=LITERAL_VARIANTS)
+    def test_variant_elaborates_like_the_evaluator(self, line):
+        source = HEADER + "    transfer(0, 1, 0, 0, recv)\n" + line + "    x = 2\n"
+        program = parse_program(source)
+        assert program.transfers == _reference(source).transfers
+        assert program.header == _reference(source).header
+        assert program.transfers[1].op is CommType.RRC
+        assert (program.transfers[1].src, program.transfers[1].step) == (1, 3)
+
+    def test_literals_inside_for_bodies(self):
+        source = (
+            'def ResCCLAlgo(nRanks=4, AlgoName="loops", OpType="Allreduce"):\n'
+            "    for r in range(0, 3):\n"
+            "        transfer(0, 1, 0, 0, recv)\n"
+            "        for s in range(2):\n"
+            "\t\t    transfer(1, 2, 1, 0, rrc)  # tabs count as 4 columns\n"
+            "            transfer(r, r + 1, s + 2, 1, recv)\n"
+            "    transfer(3, 0, 9, 3, recv)\n"
+        )
+        program = parse_program(source)
+        reference = _reference(source)
+        assert program.transfers == reference.transfers
+        assert program.header == reference.header
+        assert len(program.transfers) == 3 * (1 + 2 * 2) + 1
+
+    def test_flat_program_skips_expression_evaluation(self, monkeypatch):
+        from repro.algorithms import ring_allgather
+        from repro.lang import builder
+
+        def refuse(expr, env):
+            raise AssertionError("a literal line was evaluated as an expression")
+
+        monkeypatch.setattr(builder, "eval_expr", refuse)
+        program = ring_allgather(8)
+        assert parse_program(program.to_source()).transfers == program.transfers
+
+    @pytest.mark.parametrize("body", MALFORMED_LITERALS.values(), ids=MALFORMED_LITERALS)
+    def test_malformed_lines_fail_as_before(self, body):
+        source = HEADER + "    transfer(0, 1, 0, 0, recv)\n" + body
+        expected = _raised(_reference, source)
+        assert expected[0] is ResCCLangSyntaxError
+        assert _raised(parse_program, source) == expected
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "transfer(0, 1, 0, 0, recv)\n" + HEADER,  # before the header
+            HEADER + "    transfer(2, 2, 0, 0, recv)\n",  # self-transfer
+            HEADER + "    transfer(0, 1, 0, 0, recv)\n    transfer(1, 0, 0, 0, recv)\n"
+            + "    transfer(x, 1, 0, 0, recv)\n",  # undefined identifier
+        ],
+        ids=["before-header", "self-transfer", "undefined-identifier"],
+    )
+    def test_other_errors_unchanged(self, source):
+        assert _raised(parse_program, source) == _raised(_reference, source)

@@ -4,6 +4,8 @@ Strategy: generate random-but-valid algorithm programs and cluster
 shapes, then assert the invariants the system's correctness rests on:
 
 * dependency DAGs are acyclic for any step-ordered program;
+* a validated compile rejects a corrupted program exactly when
+  ``validate_program`` reports issues, and with the same issue list;
 * both schedulers cover the DAG exactly once, respect dependencies, and
   never put two same-link tasks in one sub-pipeline;
 * TB allocation assigns every task side exactly once and merged windows
@@ -28,11 +30,12 @@ from repro.algorithms import (
     ring_allgather,
     ring_allreduce,
 )
-from repro.core import allocate_tbs, hpds_schedule, rr_schedule
+from repro.core import ResCCLCompiler, allocate_tbs, hpds_schedule, rr_schedule
 from repro.ir.dag import build_dag
-from repro.ir.task import Collective, CommType
+from repro.ir.task import Collective, CommType, Transfer
 from repro.lang.builder import AlgoProgram
 from repro.lang.parser import parse_program
+from repro.lang.validate import ProgramValidationError, validate_program
 from repro.runtime.memory import verify_collective
 from repro.runtime.plan import plan_microbatches
 from repro.topology import Cluster
@@ -83,6 +86,39 @@ def random_programs(draw):
     return (nodes, gpus), program
 
 
+#: Ways to break a valid program, one per ``validate_program`` issue class
+#: (a cycle cannot be written: see ``tests/test_ir_dag.py``).
+CORRUPTIONS = ("empty", "mismatch", "duplicate", "conflict", "rank", "chunk")
+
+
+@st.composite
+def corrupted_programs(draw):
+    """A random program with zero to three corruptions, and its cluster."""
+    (nodes, gpus), program = draw(random_programs())
+    cluster = Cluster(nodes=nodes, gpus_per_node=gpus)
+    nranks = program.nranks
+    transfers = program.transfers
+    for kind in draw(st.lists(st.sampled_from(CORRUPTIONS), max_size=3)):
+        if kind == "empty":
+            transfers.clear()
+        elif kind == "mismatch":
+            cluster = Cluster(nodes=nodes + 1, gpus_per_node=gpus)
+        elif transfers:
+            t = transfers[draw(st.integers(0, len(transfers) - 1))]
+            beyond = nranks + draw(st.integers(0, 3))
+            if kind == "duplicate":
+                record = t
+            elif kind == "conflict":
+                src = draw(st.integers(0, nranks - 1).filter(lambda r: r != t.dst))
+                record = Transfer(src, t.dst, t.step, t.chunk, CommType.RRC)
+            elif kind == "rank":
+                record = Transfer(t.src, beyond, t.step, t.chunk, t.op)
+            else:
+                record = Transfer(t.src, t.dst, t.step, beyond, t.op)
+            transfers.insert(draw(st.integers(0, len(transfers))), record)
+    return cluster, program
+
+
 # ----------------------------------------------------------------------
 # DAG invariants
 # ----------------------------------------------------------------------
@@ -105,6 +141,20 @@ class TestDagProperties:
         dag = build_dag(program.transfers, cluster)
         for producer, consumer in dag.edges():
             assert dag.task(producer).step < dag.task(consumer).step
+
+
+class TestValidationProperties:
+    @given(corrupted_programs())
+    @settings(max_examples=80, deadline=None)
+    def test_compile_rejects_iff_validator_reports(self, case):
+        cluster, program = case
+        issues = validate_program(program, cluster).issues
+        if not issues:
+            ResCCLCompiler().compile(program, cluster)
+            return
+        with pytest.raises(ProgramValidationError) as info:
+            ResCCLCompiler().compile(program, cluster)
+        assert info.value.issues == issues
 
 
 # ----------------------------------------------------------------------

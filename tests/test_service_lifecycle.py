@@ -749,3 +749,71 @@ class TestServiceClientPool:
             client._backoff_s = _BACKOFF_CAP_S  # as if it just struggled
             client.healthz()
             assert client._backoff_s == _BACKOFF_BASE_S
+
+
+# ----------------------------------------------------------------------
+# Worker lifetime
+# ----------------------------------------------------------------------
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (a zombie awaiting reaping is not)."""
+    import os
+
+    try:
+        os.kill(pid, 0)  # signal 0: an existence probe, nothing is sent
+    except (ProcessLookupError, PermissionError):
+        return False
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+class TestWorkersDieWithDaemon:
+    def test_sigkilled_daemon_leaves_no_workers(self, tmp_path):
+        """Workers of a SIGKILLed daemon exit on their own within a few
+        heartbeat intervals instead of living on with parent pid 1."""
+        import os
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        from repro.service.workers import HEARTBEAT_INTERVAL_S
+
+        script = (
+            "import sys, time\n"
+            "from repro.service import ServiceConfig, ServiceDaemon\n"
+            "daemon = ServiceDaemon(ServiceConfig(\n"
+            "    port=0, workers=2, cache_dir=sys.argv[1])).start()\n"
+            "print(*daemon.pool.worker_pids(), flush=True)\n"
+            "time.sleep(120)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).parent.parent) + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        daemon = subprocess.Popen(
+            [sys.executable, "-c", script, str(tmp_path / "cache")],
+            env=env, stdout=subprocess.PIPE,
+        )
+        workers = []
+        try:
+            workers = [int(pid) for pid in daemon.stdout.readline().split()]
+            assert len(workers) == 2 and all(map(_running, workers))
+            daemon.send_signal(signal.SIGKILL)
+            daemon.wait(timeout=30)
+            # 40 intervals (2 s) leaves room for a loaded machine.
+            assert _wait_for(
+                lambda: not any(map(_running, workers)),
+                timeout_s=40 * HEARTBEAT_INTERVAL_S,
+            ), f"orphaned workers still running: {workers}"
+        finally:
+            daemon.kill()
+            daemon.wait(timeout=30)
+            daemon.stdout.close()
+            for pid in filter(_running, workers):
+                os.kill(pid, signal.SIGKILL)
